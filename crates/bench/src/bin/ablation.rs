@@ -28,10 +28,7 @@
 //! the signature cache actually hits on the replicated fixture.
 
 use hfta_bench::{build_iscas_like, IscasLike};
-use hfta_core::{
-    CharacterizeOptions, DemandDrivenAnalyzer, DemandOptions, HierAnalyzer, HierOptions, Scheduler,
-    TraceSink,
-};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, Scheduler, TraceSink};
 use hfta_netlist::gen::carry_skip_adder;
 use hfta_netlist::partition::{cascade_bipartition, cascade_bipartition_min_cut};
 use hfta_netlist::Time;
@@ -44,11 +41,13 @@ fn bench_demand_vs_twostep(harness: &mut Harness) {
 
     group.bench("demand_driven", || {
         let mut an =
-            DemandDrivenAnalyzer::new(&design, "csa32.4", DemandOptions::default()).expect("valid");
+            DemandDrivenAnalyzer::with_config(&design, "csa32.4", &AnalysisConfig::default())
+                .expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
     group.bench("two_step_full", || {
-        let mut an = HierAnalyzer::new(&design, "csa32.4", HierOptions::default()).expect("valid");
+        let mut an = HierAnalyzer::with_config(&design, "csa32.4", &AnalysisConfig::default())
+            .expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
 }
@@ -58,15 +57,9 @@ fn bench_tuple_cap(harness: &mut Harness) {
     let design = carry_skip_adder(16, 2, Default::default());
     let arrivals = vec![Time::ZERO; 33];
     for max_tuples in [1usize, 4] {
-        let opts = HierOptions {
-            characterize: CharacterizeOptions {
-                max_tuples,
-                ..CharacterizeOptions::default()
-            },
-            ..HierOptions::default()
-        };
+        let opts = AnalysisConfig::default().with_max_tuples(max_tuples);
         group.bench(&format!("max_tuples_{max_tuples}"), || {
-            let mut an = HierAnalyzer::new(&design, "csa16.2", opts).expect("valid");
+            let mut an = HierAnalyzer::with_config(&design, "csa16.2", &opts).expect("valid");
             an.analyze(&arrivals).expect("analyzes").delay
         });
     }
@@ -85,13 +78,15 @@ fn bench_partition_strategy(harness: &mut Harness) {
     let fixed = cascade_bipartition(&flat, 0.5).expect("partitions");
     group.bench("fixed_half_split", || {
         let mut an =
-            DemandDrivenAnalyzer::new(&fixed, "c432_like_top", Default::default()).expect("valid");
+            DemandDrivenAnalyzer::with_config(&fixed, "c432_like_top", &AnalysisConfig::default())
+                .expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
     let mincut = cascade_bipartition_min_cut(&flat, 0.25, 0.75).expect("partitions");
     group.bench("min_cut_split", || {
         let mut an =
-            DemandDrivenAnalyzer::new(&mincut, "c432_like_top", Default::default()).expect("valid");
+            DemandDrivenAnalyzer::with_config(&mincut, "c432_like_top", &AnalysisConfig::default())
+                .expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
 }
@@ -131,18 +126,18 @@ fn bench_parallel_characterization(harness: &mut Harness) {
 
     let mut group = harness.group("ablation_parallel_characterize");
     group.bench("serial", || {
-        let mut an = HierAnalyzer::new(&design, "mixed", HierOptions::default()).expect("valid");
+        let mut an =
+            HierAnalyzer::with_config(&design, "mixed", &AnalysisConfig::default()).expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
     // One pool shared across iterations: workers spawn once, so the
     // measurement is scheduling + characterization, not thread setup.
-    let pool = Scheduler::new(4);
-    let par_opts = HierOptions::default()
+    let par_opts = AnalysisConfig::default()
         .with_threads(4)
-        .with_thread_clamp(false);
+        .with_thread_clamp(false)
+        .with_scheduler(Scheduler::new(4));
     group.bench("parallel_4_threads", || {
-        let mut an = HierAnalyzer::new(&design, "mixed", par_opts).expect("valid");
-        an.set_scheduler(pool.clone());
+        let mut an = HierAnalyzer::with_config(&design, "mixed", &par_opts).expect("valid");
         an.characterize_all().expect("characterizes");
         an.analyze(&arrivals).expect("analyzes").delay
     });
@@ -167,17 +162,17 @@ fn bench_stability_oracle(harness: &mut Harness) {
     // compare is steady-state refinement cost, not construction. The
     // threaded case gets a pre-built pool for the same reason — worker
     // spawning is a per-process cost, not a per-analysis one.
-    let fresh = DemandOptions {
+    let fresh = AnalysisConfig {
         reuse_oracle: false,
-        ..DemandOptions::default()
+        ..AnalysisConfig::default()
     };
-    let mut an_fresh = DemandDrivenAnalyzer::new(&design, top, fresh).expect("valid");
+    let mut an_fresh = DemandDrivenAnalyzer::with_config(&design, top, &fresh).expect("valid");
     group.bench_at_least("fresh_solver_per_probe", 10, || {
         an_fresh.reset_refinement();
         an_fresh.analyze(&arrivals).expect("analyzes").delay
     });
     let mut an_oracle =
-        DemandDrivenAnalyzer::new(&design, top, DemandOptions::default()).expect("valid");
+        DemandDrivenAnalyzer::with_config(&design, top, &AnalysisConfig::default()).expect("valid");
     group.bench_at_least("persistent_oracle", 10, || {
         an_oracle.reset_refinement();
         an_oracle.analyze(&arrivals).expect("analyzes").delay
@@ -187,11 +182,11 @@ fn bench_stability_oracle(harness: &mut Harness) {
     // the regression this group guards against), and on a multicore box
     // the pool spawns once on the first iteration and persists in the
     // analyzer, so steady-state iterations never pay spawn cost.
-    let threaded = DemandOptions {
+    let threaded = AnalysisConfig {
         threads: 4,
-        ..DemandOptions::default()
+        ..AnalysisConfig::default()
     };
-    let mut an_par = DemandDrivenAnalyzer::new(&design, top, threaded).expect("valid");
+    let mut an_par = DemandDrivenAnalyzer::with_config(&design, top, &threaded).expect("valid");
     group.bench_at_least("persistent_oracle_4_threads", 10, || {
         an_par.reset_refinement();
         an_par.analyze(&arrivals).expect("analyzes").delay
@@ -256,21 +251,14 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
     let arrivals = vec![Time::ZERO; n_inputs];
 
     let mut group = harness.group("ablation_cone_sig");
-    let hier_off = HierOptions {
-        characterize: CharacterizeOptions {
-            cone_sig: false,
-            ..CharacterizeOptions::default()
-        },
-        ..HierOptions::default()
-    };
+    let hier_off = AnalysisConfig::default().with_cone_sig(false);
     group.bench("hier_sig_off", || {
-        let mut an = HierAnalyzer::new(&design, "replicated", hier_off).expect("valid");
+        let mut an = HierAnalyzer::with_config(&design, "replicated", &hier_off).expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
+    let traced = AnalysisConfig::default().with_trace(trace.clone());
     group.bench("hier_sig_on", || {
-        let mut an =
-            HierAnalyzer::new(&design, "replicated", HierOptions::default()).expect("valid");
-        an.set_trace(trace.clone());
+        let mut an = HierAnalyzer::with_config(&design, "replicated", &traced).expect("valid");
         let r = an.analyze(&arrivals).expect("analyzes");
         assert!(
             r.stats.stability.cone_sig_hits > 0,
@@ -280,18 +268,18 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
         r.delay
     });
 
-    let demand_off = DemandOptions {
+    let demand_off = AnalysisConfig {
         cone_sig: false,
-        ..DemandOptions::default()
+        ..AnalysisConfig::default()
     };
     group.bench("demand_sig_off", || {
-        let mut an = DemandDrivenAnalyzer::new(&design, "replicated", demand_off).expect("valid");
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "replicated", &demand_off).expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
     group.bench("demand_sig_on", || {
-        let mut an = DemandDrivenAnalyzer::new(&design, "replicated", DemandOptions::default())
-            .expect("valid");
-        an.set_trace(trace.clone());
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "replicated", &traced).expect("valid");
         let r = an.analyze(&arrivals).expect("analyzes");
         assert!(
             r.stability.cone_sig_hits > 0,
@@ -306,14 +294,17 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
     let (par_design, par_inputs) = replicated_blocks(copies, bits, false);
     let par_arrivals = vec![Time::ZERO; par_inputs];
     group.bench("demand_par_sig_off", || {
-        let mut an =
-            DemandDrivenAnalyzer::new(&par_design, "replicated_par", demand_off).expect("valid");
+        let mut an = DemandDrivenAnalyzer::with_config(&par_design, "replicated_par", &demand_off)
+            .expect("valid");
         an.analyze(&par_arrivals).expect("analyzes").delay
     });
     group.bench("demand_par_sig_on", || {
-        let mut an =
-            DemandDrivenAnalyzer::new(&par_design, "replicated_par", DemandOptions::default())
-                .expect("valid");
+        let mut an = DemandDrivenAnalyzer::with_config(
+            &par_design,
+            "replicated_par",
+            &AnalysisConfig::default(),
+        )
+        .expect("valid");
         let r = an.analyze(&par_arrivals).expect("analyzes");
         assert!(
             r.stability.cone_sig_hits > 0,
@@ -335,14 +326,17 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
         let arr = vec![Time::ZERO; flat.inputs().len()];
         let part = cascade_bipartition(&flat, 0.5).expect("partitions");
         group.bench("iscas_demand_sig_off", || {
-            let mut an =
-                DemandDrivenAnalyzer::new(&part, "c880_like_top", demand_off).expect("valid");
+            let mut an = DemandDrivenAnalyzer::with_config(&part, "c880_like_top", &demand_off)
+                .expect("valid");
             an.analyze(&arr).expect("analyzes").delay
         });
         group.bench("iscas_demand_sig_on", || {
-            let mut an =
-                DemandDrivenAnalyzer::new(&part, "c880_like_top", DemandOptions::default())
-                    .expect("valid");
+            let mut an = DemandDrivenAnalyzer::with_config(
+                &part,
+                "c880_like_top",
+                &AnalysisConfig::default(),
+            )
+            .expect("valid");
             an.analyze(&arr).expect("analyzes").delay
         });
     }
@@ -405,17 +399,19 @@ fn bench_shared_solver(harness: &mut Harness) {
     let (copies, bits) = if smoke() { (4usize, 2usize) } else { (8, 4) };
     let (design, n_inputs) = replicated_blocks(copies, bits, true);
     let arrivals = vec![Time::ZERO; n_inputs];
-    let per_cone = DemandOptions {
+    let per_cone = AnalysisConfig {
         shared_solver: false,
-        ..DemandOptions::default()
+        ..AnalysisConfig::default()
     };
     group.bench_at_least("demand_cascade_per_cone", 5, || {
-        let mut an = DemandDrivenAnalyzer::new(&design, "replicated", per_cone).expect("valid");
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "replicated", &per_cone).expect("valid");
         an.analyze(&arrivals).expect("analyzes").delay
     });
     group.bench_at_least("demand_cascade_shared", 5, || {
-        let mut an = DemandDrivenAnalyzer::new(&design, "replicated", DemandOptions::default())
-            .expect("valid");
+        let mut an =
+            DemandDrivenAnalyzer::with_config(&design, "replicated", &AnalysisConfig::default())
+                .expect("valid");
         let r = an.analyze(&arrivals).expect("analyzes");
         assert!(
             r.stability.domains_built > 0,

@@ -16,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 
-use hfta_core::{DemandDrivenAnalyzer, DemandOptions};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer};
 use hfta_fta::{DelayAnalyzer, TopoSta};
 use hfta_netlist::gen::{carry_skip_adder, random_circuit, RandomCircuitSpec};
 use hfta_netlist::partition::cascade_bipartition_min_cut;
@@ -159,8 +159,9 @@ pub fn compare(design: &Design, top_name: &str, flat: &Netlist) -> Row {
     let topological = sta.circuit_delay(&flat_arrivals);
 
     let (hier_delay, hier_cpu) = timed(|| {
-        let mut an = DemandDrivenAnalyzer::new(design, top_name, DemandOptions::default())
-            .expect("valid design");
+        let mut an =
+            DemandDrivenAnalyzer::with_config(design, top_name, &AnalysisConfig::default())
+                .expect("valid design");
         an.analyze(&arrivals).expect("analysis succeeds").delay
     });
 

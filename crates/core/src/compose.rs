@@ -20,19 +20,19 @@
 //! exactly).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use hfta_fta::{AnalysisConfig, ModuleTiming};
 use hfta_netlist::{Composite, Design, ModuleBody, NetlistError, Time};
 use hfta_sched::Scheduler;
 
-use crate::hier::{propagate, HierAnalysis, HierOptions};
-use crate::module_timing::ModuleTiming;
+use crate::hier::{propagate, split_config, HierAnalysis};
 use crate::{TimingModel, TimingTuple};
 
-/// Options for recursive characterization.
+/// The composition caps of recursive characterization. Leaf modules
+/// are characterized under an [`AnalysisConfig`], passed alongside.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ComposeOptions {
-    /// Leaf characterization options.
-    pub hier: HierOptions,
     /// Cap on tuples kept per composed model (non-dominated tuples are
     /// ranked by total finite delay; dropping tuples loses accuracy,
     /// never soundness).
@@ -45,7 +45,6 @@ pub struct ComposeOptions {
 impl Default for ComposeOptions {
     fn default() -> ComposeOptions {
         ComposeOptions {
-            hier: HierOptions::default(),
             max_tuples: 8,
             max_product: 4096,
         }
@@ -53,7 +52,9 @@ impl Default for ComposeOptions {
 }
 
 /// Recursively characterizes `module` (leaf or composite) into a
-/// [`ModuleTiming`] over its own ports, caching by module name.
+/// [`ModuleTiming`] over its own ports, caching by module name. Leaves
+/// are characterized under `config`; composites are composed under
+/// `opts`.
 ///
 /// # Errors
 ///
@@ -62,6 +63,7 @@ impl Default for ComposeOptions {
 pub fn characterize_recursive(
     design: &Design,
     module: &str,
+    config: &AnalysisConfig,
     opts: &ComposeOptions,
     cache: &mut HashMap<String, ModuleTiming>,
 ) -> Result<ModuleTiming, NetlistError> {
@@ -73,13 +75,11 @@ pub fn characterize_recursive(
         name: module.to_string(),
     })?;
     let timing = match &def.body {
-        ModuleBody::Leaf(nl) => {
-            ModuleTiming::characterize(nl, opts.hier.source, opts.hier.characterize)?
-        }
+        ModuleBody::Leaf(nl) => ModuleTiming::characterize(nl, config)?,
         ModuleBody::Composite(c) => {
             for idx in c.instance_topo_order()? {
                 let inst = &c.instances()[idx];
-                characterize_recursive(design, &inst.module, opts, cache)?;
+                characterize_recursive(design, &inst.module, config, opts, cache)?;
             }
             compose_composite(c, opts, cache)?
         }
@@ -250,6 +250,15 @@ fn truncate_ranked(mut set: Vec<TimingTuple>, cap: usize) -> Vec<TimingTuple> {
 /// composites (arbitrary hierarchy depth), by recursive timing-model
 /// composition followed by the usual top-level propagation.
 ///
+/// Modules are characterized wavefront by wavefront over the module
+/// dependency DAG — every leaf of a wavefront is an independent task,
+/// so sibling subtrees characterize concurrently on the pool seated in
+/// `config` (or, when none is seated and `config.threads > 1`, on a pool
+/// created for this call) — and composite models are composed from
+/// their children's models once the wave below them is done. Models
+/// merge back in deterministic (sorted name) order, so the analysis is
+/// bit-identical to the serial one.
+///
 /// # Errors
 ///
 /// Returns module-resolution and characterization errors.
@@ -262,47 +271,21 @@ pub fn analyze_multilevel(
     design: &Design,
     top: &str,
     pi_arrivals: &[Time],
+    config: &AnalysisConfig,
     opts: &ComposeOptions,
-) -> Result<HierAnalysis, NetlistError> {
-    // Auto-pool: opts asking for threads gets a pool of the effective
-    // (clamped) size for the duration of this analysis.
-    let pool = (opts.hier.threads > 1)
-        .then(|| hfta_sched::effective_parallelism(opts.hier.threads, opts.hier.clamp_threads))
-        .filter(|&effective| effective > 1)
-        .map(Scheduler::new);
-    analyze_multilevel_with(design, top, pi_arrivals, opts, pool.as_ref())
-}
-
-/// [`analyze_multilevel`] on an explicit worker pool (or `None` for
-/// serial): modules are characterized wavefront by wavefront over the
-/// module dependency DAG — every leaf of a wavefront is an independent
-/// task, so sibling subtrees characterize concurrently — and composite
-/// models are composed from their children's models once the wave
-/// below them is done. Models merge back in deterministic (sorted
-/// name) order, so the analysis is bit-identical to the serial one.
-///
-/// # Errors
-///
-/// Returns module-resolution and characterization errors.
-///
-/// # Panics
-///
-/// Panics if `pi_arrivals.len()` differs from the top-level input
-/// count.
-pub fn analyze_multilevel_with(
-    design: &Design,
-    top: &str,
-    pi_arrivals: &[Time],
-    opts: &ComposeOptions,
-    pool: Option<&Scheduler>,
 ) -> Result<HierAnalysis, NetlistError> {
     design.validate()?;
     let composite = design.composite(top).ok_or_else(|| NetlistError::Unknown {
         what: "top-level composite module",
         name: top.to_string(),
     })?;
+    let (config, seated) = split_config(config);
+    let pool = seated.or_else(|| {
+        let effective = hfta_sched::effective_parallelism(config.threads, config.clamp_threads);
+        (effective > 1).then(|| Scheduler::new(effective))
+    });
     let mut cache = HashMap::new();
-    characterize_wavefronts(design, composite, opts, pool, &mut cache)?;
+    characterize_wavefronts(design, composite, &config, opts, pool.as_ref(), &mut cache)?;
     let mut models = HashMap::new();
     for inst in composite.instances() {
         if !models.contains_key(&inst.module) {
@@ -327,6 +310,7 @@ pub fn analyze_multilevel_with(
 fn characterize_wavefronts(
     design: &Design,
     top: &Composite,
+    config: &Arc<AnalysisConfig>,
     opts: &ComposeOptions,
     pool: Option<&Scheduler>,
     cache: &mut HashMap<String, ModuleTiming>,
@@ -382,16 +366,18 @@ fn characterize_wavefronts(
             }
         }
         leaves.sort_by(|a, b| a.0.cmp(&b.0));
-        let hier = opts.hier;
         let characterized: Vec<(String, Result<ModuleTiming, NetlistError>)> = match pool {
-            Some(pool) if leaves.len() > 1 => pool.run(leaves, move |(name, nl)| {
-                let r = ModuleTiming::characterize(&nl, hier.source, hier.characterize);
-                (name, r)
-            }),
+            Some(pool) if leaves.len() > 1 => {
+                let config = Arc::clone(config);
+                pool.run(leaves, move |(name, nl)| {
+                    let r = ModuleTiming::characterize(&nl, &config);
+                    (name, r)
+                })
+            }
             _ => leaves
                 .into_iter()
                 .map(|(name, nl)| {
-                    let r = ModuleTiming::characterize(&nl, hier.source, hier.characterize);
+                    let r = ModuleTiming::characterize(&nl, config);
                     (name, r)
                 })
                 .collect(),
@@ -421,6 +407,10 @@ mod tests {
 
     fn t(v: i64) -> Time {
         Time::new(v)
+    }
+
+    fn config() -> AnalysisConfig {
+        AnalysisConfig::default()
     }
 
     /// Builds a 3-level design: block (leaf) → csa8.2 (composite of 4
@@ -471,9 +461,14 @@ mod tests {
         // must equal the two-step hierarchical analysis of csa8.2.
         let design = carry_skip_adder(8, 2, CsaDelays::default());
         let mut cache = HashMap::new();
-        let timing =
-            characterize_recursive(&design, "csa8.2", &ComposeOptions::default(), &mut cache)
-                .unwrap();
+        let timing = characterize_recursive(
+            &design,
+            "csa8.2",
+            &config(),
+            &ComposeOptions::default(),
+            &mut cache,
+        )
+        .unwrap();
         assert_eq!(timing.input_names().len(), 17);
         assert_eq!(timing.output_names().len(), 9);
         let times = timing.output_stable_times(&[t(0); 17]);
@@ -487,8 +482,14 @@ mod tests {
     fn three_level_conservative_and_tight() {
         let design = three_level_design();
         let arrivals = vec![t(0); 33];
-        let analysis =
-            analyze_multilevel(&design, "pair16", &arrivals, &ComposeOptions::default()).unwrap();
+        let analysis = analyze_multilevel(
+            &design,
+            "pair16",
+            &arrivals,
+            &config(),
+            &ComposeOptions::default(),
+        )
+        .unwrap();
         let flat = design.flatten("pair16").unwrap();
         let exact = functional_circuit_delay(&flat).unwrap();
         let sta = TopoSta::new(&flat).unwrap();
@@ -510,9 +511,14 @@ mod tests {
         // gives c_in → c_out = 2 per block, so 4 blocks compose to 8.
         let design = carry_skip_adder(8, 2, CsaDelays::default());
         let mut cache = HashMap::new();
-        let timing =
-            characterize_recursive(&design, "csa8.2", &ComposeOptions::default(), &mut cache)
-                .unwrap();
+        let timing = characterize_recursive(
+            &design,
+            "csa8.2",
+            &config(),
+            &ComposeOptions::default(),
+            &mut cache,
+        )
+        .unwrap();
         let carry_model = timing.model(8);
         let min_cin_delay = carry_model
             .tuples()
@@ -530,27 +536,15 @@ mod tests {
     fn wavefront_parallel_matches_serial() {
         let design = three_level_design();
         let arrivals = vec![t(0); 33];
-        let serial =
-            analyze_multilevel(&design, "pair16", &arrivals, &ComposeOptions::default()).unwrap();
+        let opts = ComposeOptions::default();
+        let serial = analyze_multilevel(&design, "pair16", &arrivals, &config(), &opts).unwrap();
 
-        let pool = Scheduler::new(4);
-        let parallel = analyze_multilevel_with(
-            &design,
-            "pair16",
-            &arrivals,
-            &ComposeOptions::default(),
-            Some(&pool),
-        )
-        .unwrap();
+        let seated = config().with_scheduler(Scheduler::new(4));
+        let parallel = analyze_multilevel(&design, "pair16", &arrivals, &seated, &opts).unwrap();
         assert_eq!(serial, parallel);
 
-        let opts = ComposeOptions {
-            hier: HierOptions::default()
-                .with_threads(4)
-                .with_thread_clamp(false),
-            ..ComposeOptions::default()
-        };
-        let auto = analyze_multilevel(&design, "pair16", &arrivals, &opts).unwrap();
+        let threaded = config().with_threads(4).with_thread_clamp(false);
+        let auto = analyze_multilevel(&design, "pair16", &arrivals, &threaded, &opts).unwrap();
         assert_eq!(serial, auto);
     }
 
@@ -562,7 +556,7 @@ mod tests {
             max_tuples: 1,
             ..ComposeOptions::default()
         };
-        let analysis = analyze_multilevel(&design, "pair16", &arrivals, &tight).unwrap();
+        let analysis = analyze_multilevel(&design, "pair16", &arrivals, &config(), &tight).unwrap();
         let flat = design.flatten("pair16").unwrap();
         let exact = functional_circuit_delay(&flat).unwrap();
         assert!(analysis.delay >= exact, "cap must stay conservative");

@@ -19,15 +19,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hfta_fta::{
-    AnalysisConfig, CharacterizeOptions, ConeSigCache, ModelDbSpec, PhaseWall, StabilityStats,
+    AnalysisConfig, ConeSigCache, ModelDbSpec, ModelSource, ModuleTiming, PhaseWall, StabilityStats,
 };
 use hfta_modeldb::{ModelDb, ModelDbStats};
 use hfta_netlist::{Composite, Design, Netlist, NetlistError, Time};
 use hfta_sched::Scheduler;
-use hfta_trace::{TraceSink, Tracer, Value};
+use hfta_trace::{Tracer, Value};
 
 use crate::deadline::DeadlineToken;
-use crate::module_timing::{ModelSource, ModuleTiming};
 
 fn micros_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
@@ -55,79 +54,23 @@ pub(crate) fn open_model_dbs(
     Ok((use_db, emit_db))
 }
 
-/// Options for hierarchical analysis.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct HierOptions {
-    /// Where leaf models come from (functional vs topological).
-    pub source: ModelSource,
-    /// Options of the underlying required-time characterization.
-    pub characterize: CharacterizeOptions,
-    /// Worker threads for step-1 characterization. `1` (the default)
-    /// characterizes serially in instance order, sharing one signature
-    /// cache across modules; more threads fan distinct modules out as
-    /// per-module tasks on a persistent work-stealing pool, their
-    /// private caches merging back deterministically in name order.
-    pub threads: usize,
-    /// Clamp [`HierOptions::threads`] to the machine's available
-    /// parallelism when the analyzer creates its pool (on by default).
-    /// A `threads_clamped` trace event records when the clamp bites.
-    /// Pools injected via [`HierAnalyzer::set_scheduler`] are used
-    /// as-is.
-    pub clamp_threads: bool,
+/// Splits `config` into an analyzer's own copy and its seated worker
+/// pool. The copy goes to pooled tasks through the `Arc`, so its seat is
+/// emptied: a task may be dropped on a pool worker, and the last
+/// [`Scheduler`] handle must never be dropped there (dropping it joins
+/// the workers).
+pub(crate) fn split_config(config: &AnalysisConfig) -> (Arc<AnalysisConfig>, Option<Scheduler>) {
+    let mut own = config.clone();
+    let pool = std::mem::take(&mut own.scheduler).get().cloned();
+    (Arc::new(own), pool)
 }
 
-impl Default for HierOptions {
-    fn default() -> HierOptions {
-        HierOptions {
-            source: ModelSource::default(),
-            characterize: CharacterizeOptions::default(),
-            threads: 1,
-            clamp_threads: true,
-        }
-    }
-}
-
-impl HierOptions {
-    /// Sets the leaf-model source.
-    #[must_use]
-    pub fn with_source(mut self, source: ModelSource) -> HierOptions {
-        self.source = source;
-        self
-    }
-
-    /// Sets the characterization options.
-    #[must_use]
-    pub fn with_characterize(mut self, characterize: CharacterizeOptions) -> HierOptions {
-        self.characterize = characterize;
-        self
-    }
-
-    /// Sets the characterization thread count (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> HierOptions {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets whether the thread count is clamped to the machine's
-    /// available parallelism (on by default).
-    #[must_use]
-    pub fn with_thread_clamp(mut self, clamp: bool) -> HierOptions {
-        self.clamp_threads = clamp;
-        self
-    }
-}
-
-impl From<&AnalysisConfig> for HierOptions {
-    fn from(config: &AnalysisConfig) -> HierOptions {
-        HierOptions {
-            source: config.source,
-            characterize: config.characterize_options(),
-            threads: config.threads,
-            clamp_threads: config.clamp_threads,
-        }
-    }
-}
+/// The former name of [`AnalysisConfig`] as the argument of
+/// [`HierAnalyzer::new`]. Kept only so the benchmark crate
+/// (`perfbench/src/modular.rs`, which calls
+/// `HierAnalyzer::new(design, top, HierOptions::default())`) builds
+/// unchanged; new code names [`AnalysisConfig`].
+pub type HierOptions = AnalysisConfig;
 
 /// Work counters for the two-step analysis.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -172,13 +115,13 @@ pub struct HierAnalysis {
 /// # Example
 ///
 /// ```
-/// use hfta_core::{HierAnalyzer, HierOptions};
+/// use hfta_core::{AnalysisConfig, HierAnalyzer};
 /// use hfta_netlist::gen::{carry_skip_adder, CsaDelays};
 /// use hfta_netlist::Time;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = carry_skip_adder(4, 2, CsaDelays::default());
-/// let mut hier = HierAnalyzer::new(&design, "csa4.2", HierOptions::default())?;
+/// let mut hier = HierAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default())?;
 /// let analysis = hier.analyze(&vec![Time::ZERO; 9])?;
 /// // The paper's Section 4 example: c4 arrives at 10.
 /// assert_eq!(*analysis.output_arrivals.last().expect("c4"), Time::new(10));
@@ -189,7 +132,9 @@ pub struct HierAnalysis {
 pub struct HierAnalyzer<'a> {
     design: &'a Design,
     top: &'a Composite,
-    opts: HierOptions,
+    /// The analyzer's configuration (its scheduler seat moved to
+    /// `scheduler`), shared with parallel characterization tasks.
+    config: Arc<AnalysisConfig>,
     cache: HashMap<Arc<str>, ModuleTiming>,
     /// Module-name interner: cache keys, alias pairs and degradation
     /// records all share one `Arc<str>` per distinct name instead of
@@ -213,12 +158,9 @@ pub struct HierAnalyzer<'a> {
     /// reason ("deadline" or "budget").
     degraded: Vec<(Arc<str>, &'static str)>,
     wall: PhaseWall,
-    /// Trace sink for `characterize_module` spans and `module_alias`
-    /// events; disabled by default (zero-cost).
-    trace: TraceSink,
-    /// Persistent worker pool for parallel characterization: created
-    /// once (first parallel phase) or injected, then reused across
-    /// `characterize_all`/`analyze` calls.
+    /// Persistent worker pool for parallel characterization: the one
+    /// seated in the config, or created by the first parallel phase;
+    /// reused across `characterize_all`/`analyze` calls.
     scheduler: Option<Scheduler>,
     /// The `threads_clamped` event is emitted at most once.
     clamp_reported: bool,
@@ -243,20 +185,27 @@ struct CharOutcome {
 }
 
 impl<'a> HierAnalyzer<'a> {
-    /// Creates an analyzer for module `top` of `design`.
+    /// Creates an analyzer for module `top` of `design`. Model source,
+    /// characterization parameters and budget, threads, worker pool,
+    /// trace sink and model databases all come from `config`.
     ///
     /// The analysis requires the paper's depth-1 setting: `top` must be
-    /// a composite whose instances all reference leaf modules.
+    /// a composite whose instances all reference leaf modules. A model
+    /// database named in `config.model_db` is probed before every
+    /// characterization (hits are installed without counting as
+    /// characterizations), and fresh undegraded models are stored into
+    /// its emit side.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::Unknown`] if `top` is missing, is not a
-    /// composite, or instantiates non-leaf modules; plus any design
-    /// validation error.
-    pub fn new(
+    /// composite, or instantiates non-leaf modules; any design
+    /// validation error; and [`NetlistError::Io`] when the emit
+    /// database directory cannot be created.
+    pub fn with_config(
         design: &'a Design,
         top: &str,
-        opts: HierOptions,
+        config: &AnalysisConfig,
     ) -> Result<HierAnalyzer<'a>, NetlistError> {
         design.validate()?;
         let top = design.composite(top).ok_or_else(|| NetlistError::Unknown {
@@ -271,63 +220,40 @@ impl<'a> HierAnalyzer<'a> {
                 });
             }
         }
+        let (db_use, db_emit) = open_model_dbs(&config.model_db)?;
+        let (config, scheduler) = split_config(config);
         Ok(HierAnalyzer {
             design,
             top,
-            opts,
+            token: DeadlineToken::new(config.budget.deadline),
+            config,
             cache: HashMap::new(),
             names: HashSet::new(),
             sig_cache: ConeSigCache::new(),
             sig_aliases: Vec::new(),
             characterized: 0,
             stability: StabilityStats::default(),
-            token: DeadlineToken::new(opts.characterize.budget.deadline),
             degraded: Vec::new(),
             wall: PhaseWall::default(),
-            trace: TraceSink::disabled(),
-            scheduler: None,
+            scheduler,
             clamp_reported: false,
-            db_use: None,
-            db_emit: None,
+            db_use,
+            db_emit,
         })
     }
 
-    /// Creates an analyzer from the unified [`AnalysisConfig`]: model
-    /// source, characterization budget/options, thread count and trace
-    /// sink all come from `config`.
+    /// [`HierAnalyzer::with_config`] taking the config by value, the
+    /// way the benchmark crate calls it (see [`HierOptions`]).
     ///
     /// # Errors
     ///
-    /// Same as [`HierAnalyzer::new`].
-    pub fn with_config(
+    /// Same as [`HierAnalyzer::with_config`].
+    pub fn new(
         design: &'a Design,
         top: &str,
-        config: &AnalysisConfig,
+        config: HierOptions,
     ) -> Result<HierAnalyzer<'a>, NetlistError> {
-        let mut an = HierAnalyzer::new(design, top, HierOptions::from(config))?;
-        an.set_trace(config.trace.clone());
-        if let Some(pool) = config.scheduler.get() {
-            an.set_scheduler(pool.clone());
-        }
-        let (use_db, emit_db) = open_model_dbs(&config.model_db)?;
-        an.db_use = use_db;
-        an.db_emit = emit_db;
-        Ok(an)
-    }
-
-    /// Attaches a persistent model database to warm-start from: it is
-    /// probed before every characterization, and hits are installed
-    /// without counting as characterizations (an unchanged design
-    /// warm-starts with `modules_characterized == 0`).
-    pub fn set_model_db_use(&mut self, db: ModelDb) {
-        self.db_use = Some(db);
-    }
-
-    /// Attaches a persistent model database to store freshly
-    /// characterized models into. Degraded models are never stored
-    /// (see `hfta-modeldb`'s soundness rules).
-    pub fn set_model_db_emit(&mut self, db: ModelDb) {
-        self.db_emit = Some(db);
+        HierAnalyzer::with_config(design, top, &config)
     }
 
     /// Counters of the attached model-database handles, merged across
@@ -354,7 +280,7 @@ impl<'a> HierAnalyzer<'a> {
         let Some(db) = self.db_use.as_mut() else {
             return false;
         };
-        match db.probe(nl, self.opts.source, &self.opts.characterize) {
+        match db.probe(nl, self.config.source, &self.config) {
             Some(timing) => {
                 self.stability.model_db_hits += 1;
                 if tracer.is_enabled() {
@@ -382,8 +308,8 @@ impl<'a> HierAnalyzer<'a> {
         };
         let stored = db.store(
             nl,
-            self.opts.source,
-            &self.opts.characterize,
+            self.config.source,
+            &self.config,
             &outcome.timing,
             outcome.why.is_some(),
         );
@@ -392,30 +318,22 @@ impl<'a> HierAnalyzer<'a> {
         }
     }
 
-    /// Installs a shared worker pool for parallel characterization.
-    /// The pool is used as-is (no clamping — its size was decided by
-    /// whoever built it) and kept for the analyzer's whole life, so
-    /// several analyzers can share one set of workers.
-    pub fn set_scheduler(&mut self, pool: Scheduler) {
-        self.scheduler = Some(pool);
-    }
-
     /// The worker pool parallel characterization runs on, if one
-    /// exists yet (injected or lazily created by the first parallel
-    /// phase).
+    /// exists yet (seated in the config or lazily created by the first
+    /// parallel phase).
     #[must_use]
     pub fn scheduler_handle(&self) -> Option<&Scheduler> {
         self.scheduler.as_ref()
     }
 
     /// The pool a parallel phase runs on, or `None` to run serially.
-    /// An injected pool wins unchanged; otherwise the first parallel
+    /// A seated pool wins unchanged; otherwise the first parallel
     /// phase creates one with `threads` workers — clamped to the
-    /// machine's parallelism unless [`HierOptions::clamp_threads`] is
-    /// off — and the analyzer keeps it from then on.
+    /// machine's parallelism unless [`AnalysisConfig::clamp_threads`]
+    /// is off — and the analyzer keeps it from then on.
     fn scheduler_for_phase(&mut self, threads: usize, tracer: &mut Tracer) -> Option<Scheduler> {
         if self.scheduler.is_none() && threads > 1 {
-            let effective = hfta_sched::effective_parallelism(threads, self.opts.clamp_threads);
+            let effective = hfta_sched::effective_parallelism(threads, self.config.clamp_threads);
             if effective < threads && tracer.is_enabled() && !self.clamp_reported {
                 self.clamp_reported = true;
                 tracer.event(
@@ -435,14 +353,6 @@ impl<'a> HierAnalyzer<'a> {
             }
         }
         self.scheduler.clone().filter(|pool| pool.threads() > 1)
-    }
-
-    /// Installs a trace sink; subsequent characterizations record
-    /// `characterize_module` spans (and the characterizer's own spans
-    /// and events) into it. A disabled sink (the default) costs
-    /// nothing.
-    pub fn set_trace(&mut self, trace: TraceSink) {
-        self.trace = trace;
     }
 
     /// Interns a module name, so every cache key, alias pair and
@@ -484,14 +394,14 @@ impl<'a> HierAnalyzer<'a> {
         &self.sig_aliases
     }
 
-    /// Characterizes one module under this analyzer's options, checking
+    /// Characterizes one module under `config`, checking
     /// the deadline token first: an expired deadline degrades the whole
     /// module to its topological model (counted per output in
     /// [`StabilityStats::degraded`]).
     fn characterize_one(
         nl: &Netlist,
         name: &str,
-        opts: &HierOptions,
+        config: &AnalysisConfig,
         token: &DeadlineToken,
         sig_cache: &mut ConeSigCache,
         tracer: &mut Tracer,
@@ -499,7 +409,7 @@ impl<'a> HierAnalyzer<'a> {
         let span = tracer
             .is_enabled()
             .then(|| tracer.begin("characterize_module"));
-        let result = HierAnalyzer::characterize_one_impl(nl, opts, token, sig_cache, tracer);
+        let result = HierAnalyzer::characterize_one_impl(nl, config, token, sig_cache, tracer);
         if let Some(span) = span {
             match &result {
                 Ok(outcome) => {
@@ -528,34 +438,26 @@ impl<'a> HierAnalyzer<'a> {
     /// The untraced characterization body of [`HierAnalyzer::characterize_one`].
     fn characterize_one_impl(
         nl: &Netlist,
-        opts: &HierOptions,
+        config: &AnalysisConfig,
         token: &DeadlineToken,
         sig_cache: &mut ConeSigCache,
         tracer: &mut Tracer,
     ) -> Result<CharOutcome, NetlistError> {
         let name = nl.name();
-        let wants_functional = opts.source == ModelSource::Functional;
+        let wants_functional = config.source == ModelSource::Functional;
         if wants_functional && token.expired() {
-            let (timing, mut stats) = ModuleTiming::characterize_with_stats(
-                nl,
-                ModelSource::Topological,
-                opts.characterize,
-            )?;
-            stats.degraded += nl.outputs().len() as u64;
             return Ok(CharOutcome {
-                timing,
-                stats,
+                timing: ModuleTiming::topological(nl)?,
+                stats: StabilityStats {
+                    degraded: nl.outputs().len() as u64,
+                    ..StabilityStats::default()
+                },
                 why: Some("deadline"),
                 alias_owner: None,
             });
         }
-        let (timing, stats, owners) = ModuleTiming::characterize_traced(
-            nl,
-            opts.source,
-            opts.characterize,
-            sig_cache,
-            tracer,
-        )?;
+        let (timing, stats, owners) =
+            ModuleTiming::characterize_traced(nl, config, sig_cache, tracer)?;
         let why = (wants_functional && stats.degraded > 0).then_some("budget");
         // The module is an alias when every output was replayed from
         // one (other) module's characterization.
@@ -576,7 +478,7 @@ impl<'a> HierAnalyzer<'a> {
     }
 
     /// Step 1 for all distinct leaf modules referenced by the top
-    /// composite, serial or parallel per [`HierOptions::threads`].
+    /// composite, serial or parallel per [`AnalysisConfig::threads`].
     /// [`HierAnalyzer::analyze`] calls this lazily; calling it eagerly
     /// separates characterization cost from propagation cost (useful
     /// for the paper's "analyze the same circuit under many
@@ -592,8 +494,8 @@ impl<'a> HierAnalyzer<'a> {
     ///
     /// Returns the first characterization error.
     pub fn characterize_all(&mut self) -> Result<(), NetlistError> {
-        if self.opts.threads > 1 {
-            return self.characterize_parallel(self.opts.threads);
+        if self.config.threads > 1 {
+            return self.characterize_parallel(self.config.threads);
         }
         let top = self.top;
         for inst in top.instances() {
@@ -605,7 +507,8 @@ impl<'a> HierAnalyzer<'a> {
     /// The parallel step-1 fan-out: one task per distinct uncached
     /// module on the persistent pool. Each task owns a clone of its
     /// leaf netlist (persistent workers need `'static` tasks), a
-    /// private signature cache and a forked tracer; caches and trace
+    /// private signature cache and a forked tracer, and all tasks share
+    /// the analyzer's config through its `Arc`; caches and trace
     /// buffers merge back deterministically in sorted-name order, so
     /// the result is independent of how the pool schedules the tasks.
     fn characterize_parallel(&mut self, threads: usize) -> Result<(), NetlistError> {
@@ -623,7 +526,7 @@ impl<'a> HierAnalyzer<'a> {
         // (serially — probes are I/O + validation, far cheaper than
         // characterization) and fan out only the true misses.
         if self.db_use.is_some() && !names.is_empty() {
-            let mut tracer = self.trace.tracer();
+            let mut tracer = self.config.trace.tracer();
             let mut remaining = Vec::with_capacity(names.len());
             for &name in &names {
                 let nl = design.leaf(name).ok_or_else(|| NetlistError::Unknown {
@@ -634,20 +537,19 @@ impl<'a> HierAnalyzer<'a> {
                     remaining.push(name);
                 }
             }
-            self.trace.absorb(tracer);
+            self.config.trace.absorb(tracer);
             names = remaining;
         }
         if names.is_empty() {
             return Ok(());
         }
-        let opts = self.opts;
-        let mut tracer = self.trace.tracer();
+        let config = Arc::clone(&self.config);
+        let mut tracer = config.trace.tracer();
         let pool = self.scheduler_for_phase(threads, &mut tracer);
         let t0 = Instant::now();
         struct CharTask {
             name: String,
             nl: Netlist,
-            opts: HierOptions,
             token: DeadlineToken,
             tracer: Tracer,
         }
@@ -657,12 +559,12 @@ impl<'a> HierAnalyzer<'a> {
             ConeSigCache,
             Tracer,
         );
-        let run = |mut task: CharTask| -> TaskOut {
+        let run = move |mut task: CharTask| -> TaskOut {
             let mut sig_cache = ConeSigCache::new();
             let r = HierAnalyzer::characterize_one(
                 &task.nl,
                 &task.name,
-                &task.opts,
+                &config,
                 &task.token,
                 &mut sig_cache,
                 &mut task.tracer,
@@ -681,7 +583,6 @@ impl<'a> HierAnalyzer<'a> {
             tasks.push(CharTask {
                 name: name.to_string(),
                 nl,
-                opts,
                 token: self.token.clone(),
                 tracer: tracer.fork(i as u32 + 1),
             });
@@ -702,7 +603,7 @@ impl<'a> HierAnalyzer<'a> {
             }
             self.record(&name, outcome);
         }
-        self.trace.absorb(tracer);
+        self.config.trace.absorb(tracer);
         Ok(())
     }
 
@@ -734,16 +635,16 @@ impl<'a> HierAnalyzer<'a> {
                 what: "leaf module",
                 name: name.to_string(),
             })?;
-            let mut tracer = self.trace.tracer();
+            let mut tracer = self.config.trace.tracer();
             if self.db_probe(nl, name, &mut tracer) {
-                self.trace.absorb(tracer);
+                self.config.trace.absorb(tracer);
                 return Ok(&self.cache[name]);
             }
             let t0 = Instant::now();
             let outcome = HierAnalyzer::characterize_one(
                 nl,
                 name,
-                &self.opts,
+                &self.config,
                 &self.token,
                 &mut self.sig_cache,
                 &mut tracer,
@@ -752,7 +653,7 @@ impl<'a> HierAnalyzer<'a> {
             if let Ok(outcome) = &outcome {
                 self.db_store(nl, name, outcome, &mut tracer);
             }
-            self.trace.absorb(tracer);
+            self.config.trace.absorb(tracer);
             self.record(name, outcome?);
         }
         Ok(&self.cache[name])
@@ -778,9 +679,9 @@ impl<'a> HierAnalyzer<'a> {
     /// count.
     pub fn analyze(&mut self, pi_arrivals: &[Time]) -> Result<HierAnalysis, NetlistError> {
         self.characterize_all()?;
-        if self.trace.is_enabled() && self.opts.characterize.shared_solver {
+        if self.config.trace.is_enabled() && self.config.shared_solver {
             let s = self.stability_stats();
-            let mut tracer = self.trace.tracer();
+            let mut tracer = self.config.trace.tracer();
             tracer.event(
                 "shared_solver_stats",
                 vec![
@@ -789,7 +690,7 @@ impl<'a> HierAnalyzer<'a> {
                     ("learnts_imported", Value::from(s.learnts_imported)),
                 ],
             );
-            self.trace.absorb(tracer);
+            self.config.trace.absorb(tracer);
         }
         let before = self.characterized;
         let t0 = Instant::now();
@@ -888,7 +789,8 @@ mod tests {
     #[test]
     fn section4_example() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
-        let mut hier = HierAnalyzer::new(&design, "csa4.2", HierOptions::default()).unwrap();
+        let mut hier =
+            HierAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default()).unwrap();
         let analysis = hier.analyze(&[t(0); 9]).unwrap();
         let top = design.composite("csa4.2").unwrap();
         // Intermediate carry (the paper's tmp) arrives at 8.
@@ -911,7 +813,8 @@ mod tests {
             let n = blocks * 2;
             let name = format!("csa{n}.2");
             let design = carry_skip_adder(n, 2, CsaDelays::default());
-            let mut hier = HierAnalyzer::new(&design, &name, HierOptions::default()).unwrap();
+            let mut hier =
+                HierAnalyzer::with_config(&design, &name, &AnalysisConfig::default()).unwrap();
             let analysis = hier.analyze(&vec![t(0); 2 * n + 1]).unwrap();
             let top = design.composite(&name).unwrap();
             let carry = top.find_net(&format!("c{n}")).unwrap();
@@ -928,11 +831,11 @@ mod tests {
     #[test]
     fn topological_models_are_pessimistic() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
-        let opts = HierOptions {
+        let opts = AnalysisConfig {
             source: ModelSource::Topological,
-            ..HierOptions::default()
+            ..AnalysisConfig::default()
         };
-        let mut hier = HierAnalyzer::new(&design, "csa4.2", opts).unwrap();
+        let mut hier = HierAnalyzer::with_config(&design, "csa4.2", &opts).unwrap();
         let analysis = hier.analyze(&[t(0); 9]).unwrap();
         let top = design.composite("csa4.2").unwrap();
         let c4 = top.find_net("c4").unwrap();
@@ -945,13 +848,9 @@ mod tests {
     fn installed_model_bypasses_characterization() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
         let block = design.leaf("csa_block2").unwrap();
-        let timing = ModuleTiming::characterize(
-            block,
-            ModelSource::Functional,
-            CharacterizeOptions::default(),
-        )
-        .unwrap();
-        let mut hier = HierAnalyzer::new(&design, "csa4.2", HierOptions::default()).unwrap();
+        let timing = ModuleTiming::characterize(block, &AnalysisConfig::default()).unwrap();
+        let mut hier =
+            HierAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default()).unwrap();
         hier.install_model(timing);
         let analysis = hier.analyze(&[t(0); 9]).unwrap();
         assert_eq!(analysis.stats.modules_characterized, 0);
@@ -961,9 +860,11 @@ mod tests {
     #[test]
     fn non_composite_top_rejected() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
-        let err = HierAnalyzer::new(&design, "csa_block2", HierOptions::default()).unwrap_err();
+        let err = HierAnalyzer::with_config(&design, "csa_block2", &AnalysisConfig::default())
+            .unwrap_err();
         assert!(matches!(err, NetlistError::Unknown { .. }));
-        let err = HierAnalyzer::new(&design, "ghost", HierOptions::default()).unwrap_err();
+        let err =
+            HierAnalyzer::with_config(&design, "ghost", &AnalysisConfig::default()).unwrap_err();
         assert!(matches!(err, NetlistError::Unknown { .. }));
     }
 
@@ -972,7 +873,8 @@ mod tests {
     #[test]
     fn characterization_shared_across_arrival_conditions() {
         let design = carry_skip_adder(8, 2, CsaDelays::default());
-        let mut hier = HierAnalyzer::new(&design, "csa8.2", HierOptions::default()).unwrap();
+        let mut hier =
+            HierAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default()).unwrap();
         let a1 = hier.analyze(&[t(0); 17]).unwrap();
         let mut skewed = vec![t(0); 17];
         skewed[0] = t(5);
@@ -1047,15 +949,16 @@ mod parallel_tests {
         let design = multi_flavour_design();
         let arrivals = vec![Time::ZERO; 17];
 
-        let mut serial = HierAnalyzer::new(&design, "mixed", HierOptions::default()).unwrap();
+        let mut serial =
+            HierAnalyzer::with_config(&design, "mixed", &AnalysisConfig::default()).unwrap();
         let s = serial.analyze(&arrivals).unwrap();
 
         // clamp off: the pool must really run multi-worker even on
         // machines with fewer cores than requested threads.
-        let opts = HierOptions::default()
+        let opts = AnalysisConfig::default()
             .with_threads(4)
             .with_thread_clamp(false);
-        let mut parallel = HierAnalyzer::new(&design, "mixed", opts).unwrap();
+        let mut parallel = HierAnalyzer::with_config(&design, "mixed", &opts).unwrap();
         parallel.characterize_all().unwrap();
         let p = parallel.analyze(&arrivals).unwrap();
 
@@ -1073,9 +976,10 @@ mod parallel_tests {
 
         let design = multi_flavour_design();
         let arrivals = vec![Time::ZERO; 17];
-        let mut opts = HierOptions::default().with_threads(4);
-        opts.characterize.budget = SolveBudget::default().with_deadline(std::time::Instant::now());
-        let mut capped = HierAnalyzer::new(&design, "mixed", opts).unwrap();
+        let opts = AnalysisConfig::default()
+            .with_threads(4)
+            .with_budget(SolveBudget::default().with_deadline(std::time::Instant::now()));
+        let mut capped = HierAnalyzer::with_config(&design, "mixed", &opts).unwrap();
         capped.characterize_all().unwrap();
         let c = capped.analyze(&arrivals).unwrap();
         assert_eq!(c.stats.modules_degraded, 4);
@@ -1085,11 +989,11 @@ mod parallel_tests {
             .iter()
             .all(|(_, why)| *why == "deadline"));
 
-        let topo_opts = HierOptions {
+        let topo_opts = AnalysisConfig {
             source: crate::ModelSource::Topological,
-            ..HierOptions::default()
+            ..AnalysisConfig::default()
         };
-        let mut topo = HierAnalyzer::new(&design, "mixed", topo_opts).unwrap();
+        let mut topo = HierAnalyzer::with_config(&design, "mixed", &topo_opts).unwrap();
         let t = topo.analyze(&arrivals).unwrap();
         assert_eq!(c.delay, t.delay);
         assert_eq!(c.output_arrivals, t.output_arrivals);
@@ -1097,7 +1001,8 @@ mod parallel_tests {
         assert_eq!(t.stats.modules_degraded, 0);
 
         // And the functional result is at least as sharp.
-        let mut full = HierAnalyzer::new(&design, "mixed", HierOptions::default()).unwrap();
+        let mut full =
+            HierAnalyzer::with_config(&design, "mixed", &AnalysisConfig::default()).unwrap();
         let f = full.analyze(&arrivals).unwrap();
         assert!(f.delay <= c.delay);
         assert_eq!(f.stats.modules_degraded, 0);
@@ -1111,9 +1016,8 @@ mod parallel_tests {
 
         let design = multi_flavour_design();
         let arrivals = vec![Time::ZERO; 17];
-        let mut opts = HierOptions::default();
-        opts.characterize.budget = SolveBudget::default().with_conflicts(0);
-        let mut capped = HierAnalyzer::new(&design, "mixed", opts).unwrap();
+        let opts = AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(0));
+        let mut capped = HierAnalyzer::with_config(&design, "mixed", &opts).unwrap();
         let c = capped.analyze(&arrivals).unwrap();
         assert!(c.stats.stability.degraded > 0);
         assert!(c.stats.modules_degraded > 0);
@@ -1122,13 +1026,14 @@ mod parallel_tests {
             .iter()
             .all(|(_, why)| *why == "budget"));
 
-        let mut full = HierAnalyzer::new(&design, "mixed", HierOptions::default()).unwrap();
+        let mut full =
+            HierAnalyzer::with_config(&design, "mixed", &AnalysisConfig::default()).unwrap();
         let f = full.analyze(&arrivals).unwrap();
-        let topo_opts = HierOptions {
+        let topo_opts = AnalysisConfig {
             source: crate::ModelSource::Topological,
-            ..HierOptions::default()
+            ..AnalysisConfig::default()
         };
-        let mut topo = HierAnalyzer::new(&design, "mixed", topo_opts).unwrap();
+        let mut topo = HierAnalyzer::with_config(&design, "mixed", &topo_opts).unwrap();
         let t = topo.analyze(&arrivals).unwrap();
         assert!(c.delay >= f.delay);
         assert!(c.delay <= t.delay);
@@ -1172,13 +1077,14 @@ mod parallel_tests {
         let design = replicated_design(copies);
         let arrivals = vec![Time::ZERO; 4 * copies + 1];
 
-        let mut serial = HierAnalyzer::new(&design, "rep", HierOptions::default()).unwrap();
+        let mut serial =
+            HierAnalyzer::with_config(&design, "rep", &AnalysisConfig::default()).unwrap();
         let s = serial.analyze(&arrivals).unwrap();
 
-        let opts = HierOptions::default()
+        let opts = AnalysisConfig::default()
             .with_threads(4)
             .with_thread_clamp(false);
-        let mut parallel = HierAnalyzer::new(&design, "rep", opts).unwrap();
+        let mut parallel = HierAnalyzer::with_config(&design, "rep", &opts).unwrap();
         parallel.characterize_all().unwrap();
         let p = parallel.analyze(&arrivals).unwrap();
 
@@ -1200,7 +1106,8 @@ mod parallel_tests {
     fn parallel_skips_cached_modules() {
         let design = multi_flavour_design();
         let mut an =
-            HierAnalyzer::new(&design, "mixed", HierOptions::default().with_threads(2)).unwrap();
+            HierAnalyzer::with_config(&design, "mixed", &AnalysisConfig::default().with_threads(2))
+                .unwrap();
         an.characterize_all().unwrap();
         // Second call is a no-op.
         an.characterize_all().unwrap();
@@ -1213,14 +1120,14 @@ mod parallel_tests {
     /// promised `characterize_module` spans and `module_alias` events.
     #[test]
     fn traced_hier_is_bit_identical_and_records() {
-        use hfta_fta::AnalysisConfig;
         use hfta_trace::TraceSink;
 
         let copies = 4usize;
         let design = replicated_design(copies);
         let arrivals = vec![Time::ZERO; 4 * copies + 1];
 
-        let mut plain = HierAnalyzer::new(&design, "rep", HierOptions::default()).unwrap();
+        let mut plain =
+            HierAnalyzer::with_config(&design, "rep", &AnalysisConfig::default()).unwrap();
         let want = plain.analyze(&arrivals).unwrap();
 
         for threads in [1usize, 4] {

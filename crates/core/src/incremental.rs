@@ -23,14 +23,11 @@
 
 use std::collections::HashMap;
 
-use hfta_fta::{AnalysisConfig, ConeSigCache, SolveBudget, StabilityStats};
+use hfta_fta::{AnalysisConfig, ConeSigCache, ModuleTiming, SolveBudget, StabilityStats};
 use hfta_modeldb::{ModelDb, ModelDbStats};
-use hfta_netlist::{Design, Netlist, NetlistError, Time};
+use hfta_netlist::{Composite, Design, Netlist, NetlistError, Time};
 
-use hfta_netlist::Composite;
-
-use crate::hier::{open_model_dbs, propagate, HierAnalysis, HierOptions, HierStats};
-use crate::module_timing::ModuleTiming;
+use crate::hier::{open_model_dbs, propagate, HierAnalysis, HierStats};
 
 /// An immutable snapshot of a fully-warm analysis session: the top
 /// composite plus every instantiated leaf's (undegraded, cached)
@@ -80,13 +77,14 @@ impl WarmSnapshot {
 /// # Example
 ///
 /// ```
-/// use hfta_core::IncrementalAnalyzer;
+/// use hfta_core::{AnalysisConfig, IncrementalAnalyzer};
 /// use hfta_netlist::gen::{carry_skip_adder, CsaDelays};
 /// use hfta_netlist::Time;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = carry_skip_adder(8, 2, CsaDelays::default());
-/// let mut session = IncrementalAnalyzer::new(design, "csa8.2", Default::default())?;
+/// let config = AnalysisConfig::default();
+/// let mut session = IncrementalAnalyzer::with_config(design, "csa8.2", &config)?;
 /// let first = session.analyze(&vec![Time::ZERO; 17])?;
 /// let again = session.analyze(&vec![Time::ZERO; 17])?;
 /// assert_eq!(first.delay, again.delay);
@@ -99,7 +97,9 @@ impl WarmSnapshot {
 pub struct IncrementalAnalyzer {
     design: Design,
     top: String,
-    opts: HierOptions,
+    /// The session's configuration; `threads`, `scheduler` and `trace`
+    /// are ignored (characterization here is serial and untraced).
+    config: AnalysisConfig,
     /// Model cache keyed by module name; the hash detects edits. Holds
     /// only undegraded models (see the module docs).
     cache: HashMap<String, (u64, ModuleTiming)>,
@@ -115,16 +115,23 @@ pub struct IncrementalAnalyzer {
 
 impl IncrementalAnalyzer {
     /// Creates a session for module `top` of `design` (depth-1
-    /// hierarchy).
+    /// hierarchy), opening any model databases named in
+    /// [`AnalysisConfig::model_db`](hfta_fta::ModelDbSpec). A read
+    /// database is probed before every characterization, and hits are
+    /// installed without counting as characterizations (a cold session
+    /// on an unchanged design analyzes with `modules_characterized ==
+    /// 0`); fresh undegraded models are stored into the emit database.
     ///
     /// # Errors
     ///
-    /// Returns validation errors and [`NetlistError::Unknown`] if `top`
-    /// is missing, not a composite, or instantiates non-leaf modules.
-    pub fn new(
+    /// Returns validation errors, [`NetlistError::Unknown`] if `top`
+    /// is missing, not a composite, or instantiates non-leaf modules,
+    /// and [`NetlistError::Io`] when the emit directory cannot be
+    /// created.
+    pub fn with_config(
         design: Design,
         top: impl Into<String>,
-        opts: HierOptions,
+        config: &AnalysisConfig,
     ) -> Result<IncrementalAnalyzer, NetlistError> {
         let top = top.into();
         design.validate()?;
@@ -142,37 +149,18 @@ impl IncrementalAnalyzer {
                 });
             }
         }
+        let (db_use, db_emit) = open_model_dbs(&config.model_db)?;
         Ok(IncrementalAnalyzer {
             design,
             top,
-            opts,
+            config: config.clone(),
             cache: HashMap::new(),
             sig_cache: ConeSigCache::new(),
             characterizations: 0,
             session_stability: StabilityStats::default(),
-            db_use: None,
-            db_emit: None,
+            db_use,
+            db_emit,
         })
-    }
-
-    /// Creates a session from a unified [`AnalysisConfig`], opening any
-    /// model databases named in
-    /// [`AnalysisConfig::model_db`](hfta_fta::ModelDbSpec).
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Self::new`], plus
-    /// [`NetlistError::Io`] when the emit directory cannot be created.
-    pub fn with_config(
-        design: Design,
-        top: impl Into<String>,
-        config: &AnalysisConfig,
-    ) -> Result<IncrementalAnalyzer, NetlistError> {
-        let mut an = IncrementalAnalyzer::new(design, top, HierOptions::from(config))?;
-        let (use_db, emit_db) = open_model_dbs(&config.model_db)?;
-        an.db_use = use_db;
-        an.db_emit = emit_db;
-        Ok(an)
     }
 
     /// The current design.
@@ -196,21 +184,6 @@ impl IncrementalAnalyzer {
         &self.session_stability
     }
 
-    /// Attaches a persistent model database to warm-start from: it is
-    /// probed before every characterization, and hits are installed
-    /// without counting as characterizations (a cold session on an
-    /// unchanged design analyzes with `modules_characterized == 0`).
-    pub fn set_model_db_use(&mut self, db: ModelDb) {
-        self.db_use = Some(db);
-    }
-
-    /// Attaches a persistent model database to store freshly
-    /// characterized models into. Degraded models are never stored
-    /// (see `hfta-modeldb`'s soundness rules).
-    pub fn set_model_db_emit(&mut self, db: ModelDb) {
-        self.db_emit = Some(db);
-    }
-
     /// Counters of the attached model-database handles, merged across
     /// the read and emit sides (all zero when no database is attached).
     #[must_use]
@@ -232,10 +205,10 @@ impl IncrementalAnalyzer {
     /// that filled them. The model cache survives — it only ever holds
     /// undegraded, budget-independent models.
     pub fn set_budget(&mut self, budget: SolveBudget) {
-        if self.opts.characterize.budget != budget {
+        if self.config.budget != budget {
             self.sig_cache = ConeSigCache::new();
         }
-        self.opts.characterize.budget = budget;
+        self.config.budget = budget;
     }
 
     /// Takes a read-only [`WarmSnapshot`] of the session, or `None`
@@ -335,7 +308,7 @@ impl IncrementalAnalyzer {
             // (the store refuses degraded models), so it enters the
             // session cache like any undegraded fresh model.
             if let Some(db) = self.db_use.as_mut() {
-                if let Some(m) = db.probe(leaf, self.opts.source, &self.opts.characterize) {
+                if let Some(m) = db.probe(leaf, self.config.source, &self.config) {
                     run_stability.model_db_hits += 1;
                     self.cache.insert(inst.module.clone(), (hash, m.clone()));
                     fresh.insert(inst.module.clone(), m);
@@ -343,12 +316,8 @@ impl IncrementalAnalyzer {
                 }
                 run_stability.model_db_misses += 1;
             }
-            let (m, stats, owners) = ModuleTiming::characterize_cached(
-                leaf,
-                self.opts.source,
-                self.opts.characterize,
-                &mut self.sig_cache,
-            )?;
+            let (m, stats, owners) =
+                ModuleTiming::characterize_cached(leaf, &self.config, &mut self.sig_cache)?;
             self.characterizations += 1;
             run_characterized += 1;
             let degraded = stats.degraded > 0;
@@ -369,7 +338,7 @@ impl IncrementalAnalyzer {
                 // ones are cached and persisted.
                 self.cache.insert(inst.module.clone(), (hash, m.clone()));
                 if let Some(db) = self.db_emit.as_mut() {
-                    db.store(leaf, self.opts.source, &self.opts.characterize, &m, false);
+                    db.store(leaf, self.config.source, &self.config, &m, false);
                 }
             }
             fresh.insert(inst.module.clone(), m);
@@ -402,7 +371,7 @@ mod tests {
     fn repeated_analysis_hits_cache() {
         let design = carry_skip_adder(8, 2, CsaDelays::default());
         let mut session =
-            IncrementalAnalyzer::new(design, "csa8.2", HierOptions::default()).unwrap();
+            IncrementalAnalyzer::with_config(design, "csa8.2", &AnalysisConfig::default()).unwrap();
         let a = session.analyze(&[t(0); 17]).unwrap();
         let b = session.analyze(&[t(0); 17]).unwrap();
         assert_eq!(a.delay, b.delay);
@@ -418,7 +387,7 @@ mod tests {
     fn stats_are_per_run_not_cumulative() {
         let design = carry_skip_adder(8, 2, CsaDelays::default());
         let mut session =
-            IncrementalAnalyzer::new(design, "csa8.2", HierOptions::default()).unwrap();
+            IncrementalAnalyzer::with_config(design, "csa8.2", &AnalysisConfig::default()).unwrap();
         let a = session.analyze(&[t(0); 17]).unwrap();
         assert_eq!(a.stats.modules_characterized, 1);
         let b = session.analyze(&[t(0); 17]).unwrap();
@@ -434,7 +403,7 @@ mod tests {
     fn module_edit_recharacterizes_only_that_module() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
         let mut session =
-            IncrementalAnalyzer::new(design, "csa4.2", HierOptions::default()).unwrap();
+            IncrementalAnalyzer::with_config(design, "csa4.2", &AnalysisConfig::default()).unwrap();
         let before = session.analyze(&[t(0); 9]).unwrap();
         assert_eq!(session.characterizations(), 1);
 
@@ -461,7 +430,7 @@ mod tests {
     fn unchanged_edit_is_free() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
         let mut session =
-            IncrementalAnalyzer::new(design, "csa4.2", HierOptions::default()).unwrap();
+            IncrementalAnalyzer::with_config(design, "csa4.2", &AnalysisConfig::default()).unwrap();
         let _ = session.analyze(&[t(0); 9]).unwrap();
         // "Replace" with an identical body: the content hash matches,
         // so no recharacterization happens.
@@ -536,9 +505,8 @@ mod tests {
         let mkdesign = || block_chain(&mixed_flavours(), "mixed");
         let arrivals = vec![t(0); 17];
 
-        let mut opts = HierOptions::default();
-        opts.characterize.budget = SolveBudget::default().with_conflicts(0);
-        let mut session = IncrementalAnalyzer::new(mkdesign(), "mixed", opts).unwrap();
+        let opts = AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(0));
+        let mut session = IncrementalAnalyzer::with_config(mkdesign(), "mixed", &opts).unwrap();
         let capped = session.analyze(&arrivals).unwrap();
         assert!(
             capped.stats.modules_degraded > 0,
@@ -556,7 +524,8 @@ mod tests {
         assert_eq!(lifted.stats.modules_degraded, 0);
 
         let mut fresh =
-            IncrementalAnalyzer::new(mkdesign(), "mixed", HierOptions::default()).unwrap();
+            IncrementalAnalyzer::with_config(mkdesign(), "mixed", &AnalysisConfig::default())
+                .unwrap();
         let reference = fresh.analyze(&arrivals).unwrap();
         assert_eq!(lifted.delay, reference.delay);
         assert_eq!(lifted.output_arrivals, reference.output_arrivals);
@@ -577,7 +546,8 @@ mod tests {
         let replicated = || block_chain(&vec![CsaDelays::default(); copies], "rep");
         let design = replicated();
         let arrivals = vec![t(0); 4 * copies + 1];
-        let mut session = IncrementalAnalyzer::new(design, "rep", HierOptions::default()).unwrap();
+        let mut session =
+            IncrementalAnalyzer::with_config(design, "rep", &AnalysisConfig::default()).unwrap();
         let a = session.analyze(&arrivals).unwrap();
         // Every copy counts as a characterization, but all after the
         // first replay from the signature cache: per-output hits for
@@ -588,7 +558,8 @@ mod tests {
 
         // The result matches the one-copy-at-a-time reference analyzer.
         let design = replicated();
-        let mut hier = crate::HierAnalyzer::new(&design, "rep", HierOptions::default()).unwrap();
+        let mut hier =
+            crate::HierAnalyzer::with_config(&design, "rep", &AnalysisConfig::default()).unwrap();
         let h = hier.analyze(&arrivals).unwrap();
         assert_eq!(a.delay, h.delay);
         assert_eq!(a.output_arrivals, h.output_arrivals);
@@ -605,7 +576,7 @@ mod tests {
     fn warm_snapshot_matches_session_and_tracks_warmth() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
         let mut session =
-            IncrementalAnalyzer::new(design, "csa4.2", HierOptions::default()).unwrap();
+            IncrementalAnalyzer::with_config(design, "csa4.2", &AnalysisConfig::default()).unwrap();
         assert!(
             session.warm_snapshot().is_none(),
             "cold session has no snapshot"
@@ -646,7 +617,7 @@ mod tests {
     fn replacing_unknown_module_fails() {
         let design = carry_skip_adder(4, 2, CsaDelays::default());
         let mut session =
-            IncrementalAnalyzer::new(design, "csa4.2", HierOptions::default()).unwrap();
+            IncrementalAnalyzer::with_config(design, "csa4.2", &AnalysisConfig::default()).unwrap();
         let ghost = Netlist::new("ghost");
         assert!(session.replace_module(ghost).is_err());
     }

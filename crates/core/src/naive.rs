@@ -145,7 +145,7 @@ pub fn find_underapproximation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfta_fta::{characterize_module, CharacterizeOptions};
+    use hfta_fta::{characterize_module, AnalysisConfig};
     use hfta_netlist::gen::{carry_skip_block, CsaDelays};
     use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 
@@ -179,7 +179,7 @@ mod tests {
                 mix: GateMix::NandHeavy,
             };
             let nl = random_circuit("pitfall", spec);
-            let sound_models = characterize_module(&nl, CharacterizeOptions::default()).unwrap();
+            let sound_models = characterize_module(&nl, &AnalysisConfig::default()).unwrap();
             for (k, &out) in nl.outputs().iter().enumerate() {
                 let naive = independent_relaxation_model(&nl, out, 16).unwrap();
                 // The sound model never underapproximates…

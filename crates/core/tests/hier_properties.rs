@@ -3,8 +3,8 @@
 //! random partitioned circuits, model-source dominance, and
 //! characterization self-consistency.
 
-use hfta_core::{DemandDrivenAnalyzer, HierAnalyzer, HierOptions, ModelSource, ModuleTiming};
-use hfta_fta::{CharacterizeOptions, DelayAnalyzer, TopoSta};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, ModelSource, ModuleTiming};
+use hfta_fta::{DelayAnalyzer, TopoSta};
 use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 use hfta_netlist::partition::cascade_bipartition;
 use hfta_netlist::Time;
@@ -63,7 +63,7 @@ prop!(cases = 64, fn two_step_is_conservative(spec in spec_strategy()) {
     let topo = sta.circuit_delay(&arrivals);
 
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
-    let mut hier = HierAnalyzer::new(&design, "h_top", HierOptions::default())
+    let mut hier = HierAnalyzer::with_config(&design, "h_top", &AnalysisConfig::default())
         .expect("valid");
     let est = hier.analyze(&arrivals).expect("analyzes").delay;
     assert!(est >= exact, "optimistic: {est} < {exact}");
@@ -77,11 +77,11 @@ prop!(cases = 64, fn demand_driven_matches_two_step(spec in spec_strategy()) {
     let arrivals = vec![Time::ZERO; flat.inputs().len()];
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
 
-    let mut hier = HierAnalyzer::new(&design, "h_top", HierOptions::default())
+    let mut hier = HierAnalyzer::with_config(&design, "h_top", &AnalysisConfig::default())
         .expect("valid");
     let two_step = hier.analyze(&arrivals).expect("analyzes").delay;
 
-    let mut dd = DemandDrivenAnalyzer::new(&design, "h_top", Default::default())
+    let mut dd = DemandDrivenAnalyzer::with_config(&design, "h_top", &AnalysisConfig::default())
         .expect("valid");
     let demand = dd.analyze(&arrivals).expect("analyzes").delay;
     assert_eq!(demand, two_step, "engines disagree");
@@ -94,15 +94,15 @@ prop!(cases = 64, fn functional_models_dominate_topological(spec in spec_strateg
     let arrivals = vec![Time::ZERO; flat.inputs().len()];
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
 
-    let mut functional = HierAnalyzer::new(&design, "h_top", HierOptions::default())
+    let mut functional = HierAnalyzer::with_config(&design, "h_top", &AnalysisConfig::default())
         .expect("valid");
     let f = functional.analyze(&arrivals).expect("analyzes").delay;
 
-    let topo_opts = HierOptions {
+    let topo_opts = AnalysisConfig {
         source: ModelSource::Topological,
-        ..HierOptions::default()
+        ..AnalysisConfig::default()
     };
-    let mut topological = HierAnalyzer::new(&design, "h_top", topo_opts).expect("valid");
+    let mut topological = HierAnalyzer::with_config(&design, "h_top", &topo_opts).expect("valid");
     let t = topological.analyze(&arrivals).expect("analyzes").delay;
     assert!(f <= t, "functional {f} worse than topological {t}");
 });
@@ -112,11 +112,7 @@ prop!(cases = 64, fn functional_models_dominate_topological(spec in spec_strateg
 // sound per-output abstractions of the leaf).
 prop!(cases = 64, fn characterization_verifies_against_leaf(spec in spec_strategy()) {
     let nl = random_circuit("leaf", spec);
-    let timing = ModuleTiming::characterize(
-        &nl,
-        ModelSource::Functional,
-        CharacterizeOptions::default(),
-    )
+    let timing = ModuleTiming::characterize(&nl, &AnalysisConfig::default())
     .expect("characterizes");
     let violations = timing.verify(&nl).expect("verifies");
     assert!(violations.is_empty(), "violations: {violations:?}");
@@ -125,11 +121,7 @@ prop!(cases = 64, fn characterization_verifies_against_leaf(spec in spec_strateg
 // The timing-model text format round-trips characterized modules.
 prop!(cases = 64, fn module_timing_text_roundtrip(spec in spec_strategy()) {
     let nl = random_circuit("leaf", spec);
-    let timing = ModuleTiming::characterize(
-        &nl,
-        ModelSource::Functional,
-        CharacterizeOptions::default(),
-    )
+    let timing = ModuleTiming::characterize(&nl, &AnalysisConfig::default())
     .expect("characterizes");
     let text = timing.to_text();
     let parsed = ModuleTiming::from_text(&text).expect("parses");

@@ -4,16 +4,12 @@
 //! once per analyzer lifetime — not once per refinement round.
 //!
 //! All parallel cases here disable the thread clamp
-//! ([`DemandOptions::clamp_threads`] / [`HierOptions::clamp_threads`])
-//! so the pool genuinely runs multi-worker even on a 1-core CI box;
+//! ([`AnalysisConfig::clamp_threads`]) so the pool genuinely runs multi-worker even on a 1-core CI box;
 //! determinism that held only under a lucky schedule would pass a
 //! clamped test vacuously.
 
 use hfta_core::SolveBudget;
-use hfta_core::{
-    AnalysisConfig, DemandDrivenAnalyzer, DemandOptions, HierAnalyzer, HierOptions, Scheduler,
-    TraceSink,
-};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, Scheduler, TraceSink};
 use hfta_netlist::gen::{modular_design, GateMix, ModularDesignSpec};
 use hfta_netlist::{Design, Time};
 use hfta_trace::Value;
@@ -40,19 +36,20 @@ fn fixture() -> (Design, String, Vec<Time>) {
 #[test]
 fn parallel_matches_serial_at_every_thread_count() {
     let (design, top, arrivals) = fixture();
-    let hier_serial = HierAnalyzer::new(&design, &top, HierOptions::default())
+    let hier_serial = HierAnalyzer::with_config(&design, &top, &AnalysisConfig::default())
         .expect("valid")
         .analyze(&arrivals)
         .expect("analyzes");
-    let demand_serial = DemandDrivenAnalyzer::new(&design, &top, DemandOptions::default())
-        .expect("valid")
-        .analyze(&arrivals)
-        .expect("analyzes");
+    let demand_serial =
+        DemandDrivenAnalyzer::with_config(&design, &top, &AnalysisConfig::default())
+            .expect("valid")
+            .analyze(&arrivals)
+            .expect("analyzes");
     for threads in [2usize, 4, 8] {
-        let hier_opts = HierOptions::default()
+        let hier_opts = AnalysisConfig::default()
             .with_threads(threads)
             .with_thread_clamp(false);
-        let got = HierAnalyzer::new(&design, &top, hier_opts)
+        let got = HierAnalyzer::with_config(&design, &top, &hier_opts)
             .expect("valid")
             .analyze(&arrivals)
             .expect("analyzes");
@@ -66,10 +63,10 @@ fn parallel_matches_serial_at_every_thread_count() {
             "hier threads={threads}"
         );
 
-        let demand_opts = DemandOptions::default()
+        let demand_opts = AnalysisConfig::default()
             .with_threads(threads)
             .with_thread_clamp(false);
-        let got = DemandDrivenAnalyzer::new(&design, &top, demand_opts)
+        let got = DemandDrivenAnalyzer::with_config(&design, &top, &demand_opts)
             .expect("valid")
             .analyze(&arrivals)
             .expect("analyzes");
@@ -96,17 +93,20 @@ fn parallel_matches_serial_at_every_thread_count() {
 fn budgeted_parallel_matches_budgeted_serial() {
     let (design, top, arrivals) = fixture();
     let budget = SolveBudget::default().with_conflicts(2);
-    let serial =
-        DemandDrivenAnalyzer::new(&design, &top, DemandOptions::default().with_budget(budget))
-            .expect("valid")
-            .analyze(&arrivals)
-            .expect("analyzes");
+    let serial = DemandDrivenAnalyzer::with_config(
+        &design,
+        &top,
+        &AnalysisConfig::default().with_budget(budget),
+    )
+    .expect("valid")
+    .analyze(&arrivals)
+    .expect("analyzes");
     for threads in [2usize, 8] {
-        let opts = DemandOptions::default()
+        let opts = AnalysisConfig::default()
             .with_budget(budget)
             .with_threads(threads)
             .with_thread_clamp(false);
-        let got = DemandDrivenAnalyzer::new(&design, &top, opts)
+        let got = DemandDrivenAnalyzer::with_config(&design, &top, &opts)
             .expect("valid")
             .analyze(&arrivals)
             .expect("analyzes");
@@ -127,19 +127,19 @@ fn budgeted_parallel_matches_budgeted_serial() {
 fn expired_deadline_is_bit_identical_across_schedules() {
     let (design, top, arrivals) = fixture();
     let expired = || SolveBudget::default().with_deadline(std::time::Instant::now());
-    let serial = DemandDrivenAnalyzer::new(
+    let serial = DemandDrivenAnalyzer::with_config(
         &design,
         &top,
-        DemandOptions::default().with_budget(expired()),
+        &AnalysisConfig::default().with_budget(expired()),
     )
     .expect("valid")
     .analyze(&arrivals)
     .expect("analyzes");
-    let opts = DemandOptions::default()
+    let opts = AnalysisConfig::default()
         .with_budget(expired())
         .with_threads(4)
         .with_thread_clamp(false);
-    let got = DemandDrivenAnalyzer::new(&design, &top, opts)
+    let got = DemandDrivenAnalyzer::with_config(&design, &top, &opts)
         .expect("valid")
         .analyze(&arrivals)
         .expect("analyzes");
@@ -155,16 +155,16 @@ fn expired_deadline_is_bit_identical_across_schedules() {
 #[test]
 fn mid_run_deadline_terminates_and_stays_conservative() {
     let (design, top, arrivals) = fixture();
-    let exact = DemandDrivenAnalyzer::new(&design, &top, DemandOptions::default())
+    let exact = DemandDrivenAnalyzer::with_config(&design, &top, &AnalysisConfig::default())
         .expect("valid")
         .analyze(&arrivals)
         .expect("analyzes");
     let deadline = std::time::Instant::now() + std::time::Duration::from_micros(200);
-    let opts = DemandOptions::default()
+    let opts = AnalysisConfig::default()
         .with_budget(SolveBudget::default().with_deadline(deadline))
         .with_threads(4)
         .with_thread_clamp(false);
-    let mut an = DemandDrivenAnalyzer::new(&design, &top, opts).expect("valid");
+    let mut an = DemandDrivenAnalyzer::with_config(&design, &top, &opts).expect("valid");
     let got = an.analyze(&arrivals).expect("analyzes");
     assert!(
         got.delay >= exact.delay,
@@ -184,10 +184,10 @@ fn mid_run_deadline_terminates_and_stays_conservative() {
 #[test]
 fn worker_spawn_count_is_per_pool_not_per_round() {
     let (design, top, arrivals) = fixture();
-    let opts = DemandOptions::default()
+    let opts = AnalysisConfig::default()
         .with_threads(4)
         .with_thread_clamp(false);
-    let mut an = DemandDrivenAnalyzer::new(&design, &top, opts).expect("valid");
+    let mut an = DemandDrivenAnalyzer::with_config(&design, &top, &opts).expect("valid");
     let first = an.analyze(&arrivals).expect("analyzes");
     assert!(first.rounds > 1, "fixture must need several rounds");
     an.reset_refinement();
@@ -253,14 +253,15 @@ fn one_pool_is_shared_across_analyzers() {
     let demand_got = demand.analyze(&arrivals).expect("analyzes");
 
     assert_eq!(pool.workers_spawned(), 2, "both analyzers rode one pool");
-    let hier_serial = HierAnalyzer::new(&design, &top, HierOptions::default())
+    let hier_serial = HierAnalyzer::with_config(&design, &top, &AnalysisConfig::default())
         .expect("valid")
         .analyze(&arrivals)
         .expect("analyzes");
-    let demand_serial = DemandDrivenAnalyzer::new(&design, &top, DemandOptions::default())
-        .expect("valid")
-        .analyze(&arrivals)
-        .expect("analyzes");
+    let demand_serial =
+        DemandDrivenAnalyzer::with_config(&design, &top, &AnalysisConfig::default())
+            .expect("valid")
+            .analyze(&arrivals)
+            .expect("analyzes");
     assert_eq!(hier_got.delay, hier_serial.delay);
     assert_eq!(hier_got.output_arrivals, hier_serial.output_arrivals);
     assert_eq!(demand_got.delay, demand_serial.delay);

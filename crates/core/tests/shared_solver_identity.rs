@@ -10,8 +10,8 @@
 //! on every path (degraded results must not contaminate shared state),
 //! so the flag must be a no-op there.
 
-use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer, HierOptions};
-use hfta_fta::{CharacterizeOptions, SolveBudget, TimingReport};
+use hfta_core::{AnalysisConfig, DemandDrivenAnalyzer, HierAnalyzer};
+use hfta_fta::{SolveBudget, TimingReport};
 use hfta_netlist::gen::{random_circuit, GateMix, RandomCircuitSpec};
 use hfta_netlist::partition::cascade_bipartition;
 use hfta_netlist::Time;
@@ -84,11 +84,8 @@ fn arrivals_strategy(inputs: usize) -> impl Strategy<Value = Vec<Time>> {
     )
 }
 
-fn hier_options(shared: bool) -> HierOptions {
-    HierOptions {
-        characterize: CharacterizeOptions::default().with_shared_solver(shared),
-        ..HierOptions::default()
-    }
+fn hier_options(shared: bool) -> AnalysisConfig {
+    AnalysisConfig::default().with_shared_solver(shared)
 }
 
 // Two-step characterization: the per-module shared instance answers
@@ -99,9 +96,11 @@ prop!(cases = 32, fn two_step_shared_matches_per_cone(spec in spec_strategy()) {
     let arrivals = vec![Time::ZERO; flat.inputs().len()];
     let design = cascade_bipartition(&flat, 0.5).expect("partitions");
 
-    let mut shared = HierAnalyzer::new(&design, "s_top", hier_options(true)).expect("valid");
+    let mut shared =
+        HierAnalyzer::with_config(&design, "s_top", &hier_options(true)).expect("valid");
     let a = shared.analyze(&arrivals).expect("analyzes");
-    let mut fresh = HierAnalyzer::new(&design, "s_top", hier_options(false)).expect("valid");
+    let mut fresh =
+        HierAnalyzer::with_config(&design, "s_top", &hier_options(false)).expect("valid");
     let b = fresh.analyze(&arrivals).expect("analyzes");
 
     assert_eq!(a.delay, b.delay, "delay diverged");
@@ -128,17 +127,17 @@ prop!(cases = 32, fn demand_shared_matches_per_cone(
         .map(|_| Time::new(cases.gen_range(-3i64..7)))
         .collect();
 
-    let mut shared = DemandDrivenAnalyzer::new(
+    let mut shared = DemandDrivenAnalyzer::with_config(
         &design,
         "s_top",
-        hfta_core::DemandOptions::default(),
+        &AnalysisConfig::default(),
     )
     .expect("valid");
     let a = shared.analyze(&arrivals).expect("analyzes");
-    let mut fresh = DemandDrivenAnalyzer::new(
+    let mut fresh = DemandDrivenAnalyzer::with_config(
         &design,
         "s_top",
-        hfta_core::DemandOptions {
+        &AnalysisConfig {
             shared_solver: false,
             ..Default::default()
         },
@@ -189,10 +188,10 @@ prop!(cases = 24, fn budgeted_runs_ignore_the_shared_flag(
     let budget = SolveBudget::default().with_conflicts(conflicts);
 
     let run = |shared: bool| {
-        let mut an = DemandDrivenAnalyzer::new(
+        let mut an = DemandDrivenAnalyzer::with_config(
             &design,
             "s_top",
-            hfta_core::DemandOptions {
+            &AnalysisConfig {
                 budget,
                 shared_solver: shared,
                 ..Default::default()
@@ -210,13 +209,10 @@ prop!(cases = 24, fn budgeted_runs_ignore_the_shared_flag(
 
     // And the budgeted two-step path likewise.
     let hier = |shared: bool| {
-        let opts = HierOptions {
-            characterize: CharacterizeOptions::default()
-                .with_budget(budget)
-                .with_shared_solver(shared),
-            ..HierOptions::default()
-        };
-        let mut an = HierAnalyzer::new(&design, "s_top", opts).expect("valid");
+        let opts = AnalysisConfig::default()
+            .with_budget(budget)
+            .with_shared_solver(shared);
+        let mut an = HierAnalyzer::with_config(&design, "s_top", &opts).expect("valid");
         an.analyze(&arrivals).expect("analyzes")
     };
     let a = hier(true);

@@ -1,14 +1,18 @@
-//! The unified analysis configuration.
+//! The analysis configuration.
 //!
-//! [`AnalysisConfig`] is the single entry path into every analyzer in
-//! the workspace: flat timing reports
-//! ([`TimingReport::generate`](crate::TimingReport::generate)), the
-//! two-step hierarchical analysis, and the demand-driven refinement
-//! loop (both in `hfta-core`). It subsumes the knobs that used to be
-//! spread across `CharacterizeOptions`, `DemandOptions`, and
-//! `HierOptions` — those structs remain as the per-engine views, each
-//! derivable from a config via `From<&AnalysisConfig>` — and carries
-//! the [`TraceSink`] that turns on structured tracing.
+//! [`AnalysisConfig`] is the one options type of the workspace, and the
+//! only way an option reaches an analyzer. Every entry point takes it:
+//! flat timing reports
+//! ([`TimingReport::generate`](crate::TimingReport::generate)), leaf
+//! characterization ([`Characterizer`](crate::Characterizer),
+//! [`ModuleTiming::characterize`](crate::ModuleTiming::characterize)),
+//! [`derive_declared_delays`](crate::derive_declared_delays), the model
+//! database key, and in `hfta-core` the two-step, demand-driven,
+//! incremental and multi-level analyzers. Each reads only the fields it
+//! needs; every field's documentation names its readers. Besides the
+//! characterization parameters the config carries the [`TraceSink`]
+//! that turns on structured tracing, an optional shared worker pool,
+//! and where the persistent model database lives.
 //!
 //! The builder is plain `with_*` setters over a [`Default`] that
 //! matches every engine's historical defaults, so
@@ -20,8 +24,6 @@ use std::path::PathBuf;
 use hfta_sat::{SolveBudget, SolveEpisode};
 use hfta_sched::Scheduler;
 use hfta_trace::{TraceSink, Value};
-
-use crate::required::CharacterizeOptions;
 
 /// The canonical trace-field encoding of one SAT [`SolveEpisode`] —
 /// shared by every layer that emits `sat_episode` events, so the JSONL
@@ -135,8 +137,12 @@ impl ModelDbSpec {
     }
 }
 
-/// Unified, builder-style configuration for every HFTA analysis entry
-/// point.
+/// Builder-style configuration for every HFTA analysis entry point.
+///
+/// "Characterization" below means required-time characterization of
+/// leaf modules: [`Characterizer`](crate::Characterizer) and everything
+/// built on it (`ModuleTiming::characterize*`, the two-step
+/// `HierAnalyzer`, `IncrementalAnalyzer`, multi-level composition).
 ///
 /// ```
 /// use hfta_fta::{AnalysisConfig, ModelSource, SolveBudget};
@@ -150,32 +156,49 @@ impl ModelDbSpec {
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AnalysisConfig {
-    /// Where hierarchical analysis gets module timing models.
+    /// Where module timing models come from (functional vs
+    /// topological). Read by `ModuleTiming::characterize*`, the
+    /// two-step `HierAnalyzer`, `IncrementalAnalyzer`, multi-level
+    /// composition and the model-database key. The demand-driven
+    /// analyzer always starts from topological weights and ignores it.
     pub source: ModelSource,
     /// Worker threads for characterization / refinement fan-out
-    /// (1 = serial; results are bit-identical either way).
+    /// (1 = serial; results are bit-identical either way). Read by
+    /// `HierAnalyzer` (step-1 characterization), `DemandDrivenAnalyzer`
+    /// (refinement rounds) and `analyze_multilevel` (wavefronts);
+    /// `IncrementalAnalyzer` ignores it.
     pub threads: usize,
     /// Clamp [`AnalysisConfig::threads`] to
-    /// [`hfta_sched::available_parallelism`] when the pool is created
-    /// (on by default — `--threads 64` on a 4-core box would otherwise
-    /// oversubscribe). Analyzers emit a `threads_clamped` trace event
-    /// when the clamp bites. Turn off only to *measure* oversubscription
-    /// or to exercise real multi-worker schedules on small machines.
+    /// [`hfta_sched::available_parallelism`] when an analyzer creates
+    /// its own pool (on by default — `--threads 64` on a 4-core box
+    /// would otherwise oversubscribe). Analyzers emit a
+    /// `threads_clamped` trace event when the clamp bites. Turn off
+    /// only to *measure* oversubscription or to exercise real
+    /// multi-worker schedules on small machines. Read wherever
+    /// [`AnalysisConfig::threads`] is; a seated
+    /// [`AnalysisConfig::scheduler`] is used as-is.
     pub clamp_threads: bool,
     /// Worker pool to run parallel phases on. Empty by default — each
     /// analyzer then lazily creates its own pool of
     /// [`AnalysisConfig::threads`] workers and keeps it for its whole
     /// life (across refinement rounds and `analyze` calls). Seat one
-    /// pool here to share workers across analyzers.
+    /// pool here to share workers across analyzers. Read by
+    /// `HierAnalyzer`, `DemandDrivenAnalyzer` and `analyze_multilevel`;
+    /// `IncrementalAnalyzer` ignores it.
     pub scheduler: SchedulerSeat,
     /// Per-query solver budget; analyses degrade soundly (never
-    /// silently) when it runs out. Unlimited by default.
+    /// silently) when it runs out. Its deadline also bounds a whole
+    /// characterization or refinement loop. Unlimited by default. Read
+    /// by every analyzer.
     pub budget: SolveBudget,
     /// Share characterization and stability verdicts across
-    /// structurally isomorphic cones.
+    /// structurally isomorphic cones (only where the replay is provably
+    /// bit-identical). Read by characterization with a
+    /// [`ConeSigCache`](crate::ConeSigCache) and by the demand-driven
+    /// verdict memo.
     pub cone_sig: bool,
-    /// Keep one persistent stability oracle per refined cone
-    /// (demand-driven analysis only).
+    /// Keep one persistent stability oracle per refined cone instead of
+    /// a fresh solver per probe. Read only by `DemandDrivenAnalyzer`.
     pub reuse_oracle: bool,
     /// Shared-solver mode: one incremental SAT instance per
     /// module/signature class, with each stability query restricted to
@@ -183,21 +206,38 @@ pub struct AnalysisConfig {
     /// learnt sharing, and between-query inprocessing. On by default;
     /// only unlimited-budget paths use it (budgeted runs fall back to
     /// fresh per-cone solvers so degraded results stay bit-identical
-    /// to the baseline). Verdicts are bit-identical either way.
+    /// to the baseline). Verdicts are bit-identical either way. Read by
+    /// characterization, `TimingReport::generate`,
+    /// `DemandDrivenAnalyzer` (per signature class, so there it also
+    /// needs [`AnalysisConfig::cone_sig`]) and the `hfta serve` what-if
+    /// oracles.
     pub shared_solver: bool,
     /// Cap on demand-driven refinement rounds (`None` = run to
-    /// fixpoint).
+    /// fixpoint). Read only by `DemandDrivenAnalyzer`.
     pub max_rounds: Option<usize>,
-    /// Maximum incomparable tuples per characterized output.
+    /// Greedy relaxation passes per characterized output, each seeded
+    /// from a different most-critical input — the maximum number of
+    /// incomparable tuples per model. `1` reproduces the single-tuple
+    /// models of the paper's Section 4 example. Read by
+    /// characterization and the model-database key.
     pub max_tuples: usize,
-    /// Cap on distinct path lengths tracked per (output, input) pair.
+    /// Cap on distinct path lengths tracked per (output, input) pair
+    /// (longest kept). Read by characterization, `DemandDrivenAnalyzer`
+    /// and the model-database key.
     pub lengths_cap: usize,
-    /// Probe whether inputs are entirely irrelevant to an output.
+    /// Try the final relaxation of an input to `−∞` ("not needed at
+    /// all"). Read by characterization, `DemandDrivenAnalyzer` and the
+    /// model-database key.
     pub try_irrelevant: bool,
-    /// Structured trace destination; disabled (free) by default.
+    /// Structured trace destination; disabled (free) by default. Read
+    /// by `TimingReport::generate`, `HierAnalyzer`,
+    /// `DemandDrivenAnalyzer` and `hfta serve`; `IncrementalAnalyzer`
+    /// ignores it.
     pub trace: TraceSink,
     /// Persistent model database to warm-start from and/or emit to;
-    /// empty (no persistence) by default.
+    /// empty (no persistence) by default. Read by `HierAnalyzer`,
+    /// `DemandDrivenAnalyzer` (stability verdicts) and
+    /// `IncrementalAnalyzer`.
     pub model_db: ModelDbSpec,
 }
 
@@ -348,22 +388,14 @@ impl AnalysisConfig {
         self
     }
 
-    /// The characterization view of this configuration.
+    /// The configuration itself. Characterization reads its
+    /// parameters straight from [`AnalysisConfig`]; this accessor only
+    /// keeps the benchmark crate (`perfbench/src/modular.rs`, which
+    /// passes the result to `ModelDb::probe`/`store`) building
+    /// unchanged.
     #[must_use]
-    pub fn characterize_options(&self) -> CharacterizeOptions {
-        CharacterizeOptions::from(self)
-    }
-}
-
-impl From<&AnalysisConfig> for CharacterizeOptions {
-    fn from(cfg: &AnalysisConfig) -> Self {
-        CharacterizeOptions::default()
-            .with_max_tuples(cfg.max_tuples)
-            .with_lengths_cap(cfg.lengths_cap)
-            .with_try_irrelevant(cfg.try_irrelevant)
-            .with_budget(cfg.budget)
-            .with_cone_sig(cfg.cone_sig)
-            .with_shared_solver(cfg.shared_solver)
+    pub fn characterize_options(&self) -> &AnalysisConfig {
+        self
     }
 }
 
@@ -376,12 +408,17 @@ mod tests {
         let cfg = AnalysisConfig::default();
         assert_eq!(cfg.source, ModelSource::Functional);
         assert_eq!(cfg.threads, 1);
+        assert!(cfg.clamp_threads);
         assert!(cfg.budget.is_unlimited());
         assert!(cfg.cone_sig);
         assert!(cfg.reuse_oracle);
+        assert!(cfg.shared_solver);
         assert_eq!(cfg.max_rounds, None);
+        assert_eq!(cfg.max_tuples, 4);
+        assert_eq!(cfg.lengths_cap, 32);
+        assert!(cfg.try_irrelevant);
         assert!(!cfg.trace.is_enabled());
-        assert_eq!(cfg.characterize_options(), CharacterizeOptions::default());
+        assert!(cfg.model_db.is_empty());
     }
 
     #[test]
@@ -391,8 +428,7 @@ mod tests {
             .with_max_tuples(2)
             .with_cone_sig(false);
         assert_eq!(cfg.threads, 1);
-        let opts = cfg.characterize_options();
-        assert_eq!(opts.max_tuples, 2);
-        assert!(!opts.cone_sig);
+        assert_eq!(cfg.max_tuples, 2);
+        assert!(!cfg.cone_sig);
     }
 }

@@ -232,7 +232,8 @@ pub fn exact_vector_relation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::required::{characterize_module, CharacterizeOptions};
+    use crate::config::AnalysisConfig;
+    use crate::required::characterize_module;
     use hfta_netlist::gen::{carry_skip_block, CsaDelays};
     use hfta_netlist::GateKind;
 
@@ -295,7 +296,7 @@ mod tests {
         let nl = carry_skip_block(2, CsaDelays::default());
         let c_out = nl.find_net("c_out").unwrap();
         let exact = exact_model(&nl, c_out, &ExactOptions::default()).unwrap();
-        let approx = &characterize_module(&nl, CharacterizeOptions::default()).unwrap()[2];
+        let approx = &characterize_module(&nl, &AnalysisConfig::default()).unwrap()[2];
         assert_eq!(exact.tuples(), approx.tuples());
     }
 
@@ -304,8 +305,7 @@ mod tests {
     #[test]
     fn approximate_is_subset_of_valid() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let opts = CharacterizeOptions::default();
-        let models = characterize_module(&nl, opts).unwrap();
+        let models = characterize_module(&nl, &AnalysisConfig::default()).unwrap();
         for (k, &out) in nl.outputs().iter().enumerate() {
             let exact = exact_model(&nl, out, &ExactOptions::default()).unwrap();
             for at in models[k].tuples() {

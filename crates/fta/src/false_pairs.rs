@@ -24,7 +24,8 @@ use std::collections::HashMap;
 
 use hfta_netlist::{NetId, Netlist, NetlistError, Time};
 
-use crate::required::{CharacterizeOptions, Characterizer};
+use crate::config::AnalysisConfig;
+use crate::required::Characterizer;
 use crate::sta::TopoSta;
 
 /// A set of declared pin-to-pin delays overriding topological ones.
@@ -98,10 +99,10 @@ pub fn arrivals_with_declared_delays(
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
 pub fn derive_declared_delays(
     netlist: &Netlist,
-    opts: CharacterizeOptions,
+    config: &AnalysisConfig,
 ) -> Result<DeclaredDelays, NetlistError> {
     let sta = TopoSta::new(netlist)?;
-    let mut ch = Characterizer::new(netlist, opts);
+    let mut ch = Characterizer::new(netlist, config);
     let mut declared = DeclaredDelays::new();
     for &out in netlist.outputs() {
         let long = sta.longest_to(out);
@@ -156,7 +157,7 @@ mod tests {
     #[test]
     fn derived_declarations_match_functional_analysis() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let declared = derive_declared_delays(&nl, CharacterizeOptions::default()).unwrap();
+        let declared = derive_declared_delays(&nl, &AnalysisConfig::default()).unwrap();
         let c_in = nl.find_net("c_in").unwrap();
         let c_out = nl.find_net("c_out").unwrap();
         assert_eq!(declared.get(&(c_in, c_out)), Some(&t(2)));

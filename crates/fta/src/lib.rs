@@ -72,8 +72,8 @@ pub use paths::{longest_true_path, worst_paths, TimedPath};
 pub use report::{OutputReport, TimingReport};
 pub use required::{
     characterize_module, characterize_module_cached, characterize_module_traced,
-    characterize_module_with_stats, topological_delays, CachedCharacterization,
-    CharacterizeOptions, Characterizer, ConeSigCache,
+    characterize_module_with_stats, topological_delays, CachedCharacterization, Characterizer,
+    ConeSigCache,
 };
 pub use sequential::{SequentialAnalysis, SequentialAnalyzer, SequentialEngine};
 pub use shared::SharedStabilityEngine;

@@ -12,8 +12,7 @@
 //!
 //! This module lives here rather than in `hfta-core` so that the model
 //! database can depend on the abstraction without pulling in the
-//! hierarchical analyzers; `hfta-core` re-exports everything at its
-//! historical paths.
+//! hierarchical analyzers; `hfta-core` re-exports the types.
 
 use std::error::Error;
 use std::fmt;
@@ -21,11 +20,10 @@ use std::fmt;
 use hfta_netlist::{Netlist, NetlistError, Time};
 use hfta_trace::Tracer;
 
-use crate::config::ModelSource;
+use crate::config::{AnalysisConfig, ModelSource};
 use crate::model::{TimingModel, TimingTuple};
 use crate::required::{
-    characterize_module_traced, characterize_module_with_stats, topological_delays,
-    CharacterizeOptions, ConeSigCache,
+    characterize_module_traced, characterize_module_with_stats, topological_delays, ConeSigCache,
 };
 use crate::stability::StabilityStats;
 
@@ -39,17 +37,18 @@ pub struct ModuleTiming {
 }
 
 impl ModuleTiming {
-    /// Characterizes `netlist` into a timing abstraction.
+    /// Characterizes `netlist` into a timing abstraction: functional
+    /// models under `config`, or longest-path models when
+    /// `config.source` is [`ModelSource::Topological`].
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn characterize(
         netlist: &Netlist,
-        source: ModelSource,
-        opts: CharacterizeOptions,
+        config: &AnalysisConfig,
     ) -> Result<ModuleTiming, NetlistError> {
-        ModuleTiming::characterize_with_stats(netlist, source, opts).map(|(m, _)| m)
+        ModuleTiming::characterize_with_stats(netlist, config).map(|(m, _)| m)
     }
 
     /// Like [`ModuleTiming::characterize`], also returning the
@@ -63,41 +62,40 @@ impl ModuleTiming {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn characterize_with_stats(
         netlist: &Netlist,
-        source: ModelSource,
-        opts: CharacterizeOptions,
+        config: &AnalysisConfig,
     ) -> Result<(ModuleTiming, StabilityStats), NetlistError> {
-        let (models, stats) = match source {
-            ModelSource::Functional => characterize_module_with_stats(netlist, opts)?,
-            ModelSource::Topological => (
-                netlist
-                    .outputs()
-                    .iter()
-                    .map(|&o| Ok(TimingModel::topological(topological_delays(netlist, o)?)))
-                    .collect::<Result<Vec<_>, NetlistError>>()?,
+        match config.source {
+            ModelSource::Functional => {
+                let (models, stats) = characterize_module_with_stats(netlist, config)?;
+                Ok((ModuleTiming::with_ports(netlist, models), stats))
+            }
+            ModelSource::Topological => Ok((
+                ModuleTiming::topological(netlist)?,
                 StabilityStats::default(),
-            ),
-        };
-        let timing = ModuleTiming {
-            module: netlist.name().to_string(),
-            input_names: netlist
-                .inputs()
-                .iter()
-                .map(|&n| netlist.net_name(n).to_string())
-                .collect(),
-            output_names: netlist
-                .outputs()
-                .iter()
-                .map(|&n| netlist.net_name(n).to_string())
-                .collect(),
-            models,
-        };
-        Ok((timing, stats))
+            )),
+        }
+    }
+
+    /// The topological abstraction of `netlist`: one longest-path
+    /// tuple per output. It is what a functional characterization
+    /// degrades to when its deadline has already passed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+    pub fn topological(netlist: &Netlist) -> Result<ModuleTiming, NetlistError> {
+        let models = netlist
+            .outputs()
+            .iter()
+            .map(|&o| Ok(TimingModel::topological(topological_delays(netlist, o)?)))
+            .collect::<Result<Vec<_>, NetlistError>>()?;
+        Ok(ModuleTiming::with_ports(netlist, models))
     }
 
     /// Like [`ModuleTiming::characterize_with_stats`], sharing
     /// functional characterization work across structurally isomorphic
     /// cones through `cache` (a no-op for topological models and when
-    /// [`CharacterizeOptions::cone_sig`] is off).
+    /// [`AnalysisConfig::cone_sig`] is off).
     ///
     /// The third component names, per output, the module that
     /// originally characterized the shared cone (`None` for fresh
@@ -108,12 +106,11 @@ impl ModuleTiming {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn characterize_cached(
         netlist: &Netlist,
-        source: ModelSource,
-        opts: CharacterizeOptions,
+        config: &AnalysisConfig,
         cache: &mut ConeSigCache,
     ) -> Result<(ModuleTiming, StabilityStats, Vec<Option<String>>), NetlistError> {
         let mut tracer = Tracer::disabled();
-        ModuleTiming::characterize_traced(netlist, source, opts, cache, &mut tracer)
+        ModuleTiming::characterize_traced(netlist, config, cache, &mut tracer)
     }
 
     /// Like [`ModuleTiming::characterize_cached`], recording
@@ -127,19 +124,27 @@ impl ModuleTiming {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn characterize_traced(
         netlist: &Netlist,
-        source: ModelSource,
-        opts: CharacterizeOptions,
+        config: &AnalysisConfig,
         cache: &mut ConeSigCache,
         tracer: &mut Tracer,
     ) -> Result<(ModuleTiming, StabilityStats, Vec<Option<String>>), NetlistError> {
-        if source == ModelSource::Topological {
-            let (timing, stats) = ModuleTiming::characterize_with_stats(netlist, source, opts)?;
+        if config.source == ModelSource::Topological {
             let owners = vec![None; netlist.outputs().len()];
-            return Ok((timing, stats, owners));
+            return Ok((
+                ModuleTiming::topological(netlist)?,
+                StabilityStats::default(),
+                owners,
+            ));
         }
         let (models, stats, owners) =
-            characterize_module_traced(netlist, opts, Some(cache), tracer)?;
-        let timing = ModuleTiming {
+            characterize_module_traced(netlist, config, Some(cache), tracer)?;
+        Ok((ModuleTiming::with_ports(netlist, models), stats, owners))
+    }
+
+    /// Packages `models` (one per output) under `netlist`'s name and
+    /// port names.
+    fn with_ports(netlist: &Netlist, models: Vec<TimingModel>) -> ModuleTiming {
+        ModuleTiming {
             module: netlist.name().to_string(),
             input_names: netlist
                 .inputs()
@@ -152,8 +157,7 @@ impl ModuleTiming {
                 .map(|&n| netlist.net_name(n).to_string())
                 .collect(),
             models,
-        };
-        Ok((timing, stats, owners))
+        }
     }
 
     /// Builds an abstraction from parts (e.g. for a black box whose
@@ -462,10 +466,8 @@ mod tests {
     #[test]
     fn characterize_functional_vs_topological() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let f =
-            ModuleTiming::characterize(&nl, ModelSource::Functional, Default::default()).unwrap();
-        let topo =
-            ModuleTiming::characterize(&nl, ModelSource::Topological, Default::default()).unwrap();
+        let f = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
+        let topo = ModuleTiming::topological(&nl).unwrap();
         // c_out: functional sees the false path (2), topological 6.
         assert_eq!(f.model(2).tuples()[0].delay(0), t(2));
         assert_eq!(topo.model(2).tuples()[0].delay(0), t(6));
@@ -476,8 +478,7 @@ mod tests {
     #[test]
     fn output_stable_times_min_max() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let f =
-            ModuleTiming::characterize(&nl, ModelSource::Functional, Default::default()).unwrap();
+        let f = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
         // The paper's second-block scenario: c_in at 8, others at 0.
         let times = f.output_stable_times(&[t(8), t(0), t(0), t(0), t(0)]);
         assert_eq!(times[2], t(10)); // c4 = 10
@@ -486,8 +487,7 @@ mod tests {
     #[test]
     fn text_round_trip() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let f =
-            ModuleTiming::characterize(&nl, ModelSource::Functional, Default::default()).unwrap();
+        let f = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
         let text = f.to_text();
         let parsed = ModuleTiming::from_text(&text).unwrap();
         assert_eq!(parsed, f);
@@ -550,32 +550,17 @@ mod verify_tests {
     #[test]
     fn honest_model_verifies() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let timing = ModuleTiming::characterize(
-            &nl,
-            ModelSource::Functional,
-            CharacterizeOptions::default(),
-        )
-        .unwrap();
+        let timing = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
         assert!(timing.verify(&nl).unwrap().is_empty());
         // Topological models verify trivially too.
-        let topo = ModuleTiming::characterize(
-            &nl,
-            ModelSource::Topological,
-            CharacterizeOptions::default(),
-        )
-        .unwrap();
+        let topo = ModuleTiming::topological(&nl).unwrap();
         assert!(topo.verify(&nl).unwrap().is_empty());
     }
 
     #[test]
     fn optimistic_model_is_caught() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let honest = ModuleTiming::characterize(
-            &nl,
-            ModelSource::Functional,
-            CharacterizeOptions::default(),
-        )
-        .unwrap();
+        let honest = ModuleTiming::characterize(&nl, &AnalysisConfig::default()).unwrap();
         // Forge a vendor model claiming a0 → c_out is only 5 (true: 8).
         let forged = ModuleTiming::from_parts(
             honest.module().to_string(),
@@ -603,12 +588,7 @@ mod verify_tests {
     fn port_mismatch_is_caught() {
         let nl = carry_skip_block(2, CsaDelays::default());
         let other = carry_skip_block(4, CsaDelays::default());
-        let timing = ModuleTiming::characterize(
-            &other,
-            ModelSource::Topological,
-            CharacterizeOptions::default(),
-        )
-        .unwrap();
+        let timing = ModuleTiming::topological(&other).unwrap();
         let violations = timing.verify(&nl).unwrap();
         assert!(!violations.is_empty());
         assert!(violations[0].contains("ports differ"));

@@ -20,107 +20,14 @@ use std::collections::HashMap;
 
 use hfta_netlist::strash::{cone_signature, exact_fingerprint, ConeKey};
 use hfta_netlist::{NetId, Netlist, NetlistError, Time};
-use hfta_sat::SolveBudget;
 
 use hfta_trace::Tracer;
 
 use crate::boolalg::{BoolAlg, SatAlg};
+use crate::config::AnalysisConfig;
 use crate::model::{TimingModel, TimingTuple};
 use crate::sta::TopoSta;
 use crate::stability::{StabilityAnalyzer, StabilityStats};
-
-/// Options for the approximate characterization.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CharacterizeOptions {
-    /// Number of greedy relaxation passes (each seeded from a different
-    /// most-critical input). More passes can discover more incomparable
-    /// tuples at proportional cost. `1` reproduces the single-tuple
-    /// models of the paper's Section 4 example.
-    pub max_tuples: usize,
-    /// Cap on the per-pin distinct path-length lists (longest kept).
-    pub lengths_cap: usize,
-    /// Whether to attempt the final relaxation to `−∞` ("input not
-    /// needed at all").
-    pub try_irrelevant: bool,
-    /// Per-stability-query resource budget. When a validity check runs
-    /// out of budget the relaxation walk for that input stops (as if
-    /// the candidate were invalid) and the output counts as degraded —
-    /// every accepted step was individually proven, so the partial
-    /// tuple stays sound, with the topological tuple as the floor.
-    /// Unlimited by default.
-    pub budget: SolveBudget,
-    /// Whether cached entry points may share characterization work
-    /// between structurally isomorphic cones via [`ConeSigCache`]
-    /// (cache hits are only taken when the replayed result is provably
-    /// bit-identical to a fresh analysis). On by default; callers that
-    /// pass no cache are unaffected.
-    pub cone_sig: bool,
-    /// Shared-solver mode: validate every candidate tuple of every
-    /// cone against **one** incremental SAT instance per
-    /// characterization pass (each query domain-restricted to its
-    /// cone's transitive fanin), instead of a fresh solver per cone.
-    /// Verdicts are bit-identical; only unlimited-budget runs use it
-    /// (budgeted runs keep fresh per-cone solvers). On by default.
-    pub shared_solver: bool,
-}
-
-impl Default for CharacterizeOptions {
-    fn default() -> CharacterizeOptions {
-        CharacterizeOptions {
-            max_tuples: 4,
-            lengths_cap: 32,
-            try_irrelevant: true,
-            budget: SolveBudget::UNLIMITED,
-            cone_sig: true,
-            shared_solver: true,
-        }
-    }
-}
-
-impl CharacterizeOptions {
-    /// Sets the number of greedy relaxation passes.
-    #[must_use]
-    pub fn with_max_tuples(mut self, max_tuples: usize) -> Self {
-        self.max_tuples = max_tuples;
-        self
-    }
-
-    /// Sets the distinct-path-length cap.
-    #[must_use]
-    pub fn with_lengths_cap(mut self, lengths_cap: usize) -> Self {
-        self.lengths_cap = lengths_cap;
-        self
-    }
-
-    /// Enables or disables the final relaxation to `−∞`.
-    #[must_use]
-    pub fn with_try_irrelevant(mut self, on: bool) -> Self {
-        self.try_irrelevant = on;
-        self
-    }
-
-    /// Sets the per-stability-query resource budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: SolveBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Enables or disables cone-signature sharing.
-    #[must_use]
-    pub fn with_cone_sig(mut self, on: bool) -> Self {
-        self.cone_sig = on;
-        self
-    }
-
-    /// Enables or disables shared-solver mode (see
-    /// [`CharacterizeOptions::shared_solver`]).
-    #[must_use]
-    pub fn with_shared_solver(mut self, on: bool) -> Self {
-        self.shared_solver = on;
-        self
-    }
-}
 
 /// A cache of per-cone characterization results keyed by structural
 /// signature ([`ConeSig`](hfta_netlist::strash::ConeSig)).
@@ -148,8 +55,8 @@ impl CharacterizeOptions {
 /// same predicate, with "never degraded" strengthened to "never even
 /// stored".
 ///
-/// Entries produced under different [`CharacterizeOptions`] are not
-/// interchangeable; a cache must only be reused with the options that
+/// Entries produced under different [`AnalysisConfig`]s are not
+/// interchangeable; a cache must only be reused with the config that
 /// filled it (as the hierarchical analyzer in `hfta-core` does).
 #[derive(Debug, Default)]
 pub struct ConeSigCache {
@@ -224,13 +131,14 @@ pub fn topological_delays(netlist: &Netlist, output: NetId) -> Result<Vec<Time>,
 /// # Example
 ///
 /// ```
-/// use hfta_fta::{Characterizer, CharacterizeOptions};
+/// use hfta_fta::{AnalysisConfig, Characterizer};
 /// use hfta_netlist::gen::{carry_skip_block, CsaDelays};
 /// use hfta_netlist::Time;
 ///
 /// # fn main() -> Result<(), hfta_netlist::NetlistError> {
 /// let block = carry_skip_block(2, CsaDelays::default());
-/// let mut ch = Characterizer::new(&block, CharacterizeOptions::default());
+/// let config = AnalysisConfig::default();
+/// let mut ch = Characterizer::new(&block, &config);
 /// let c_out = block.find_net("c_out").expect("exists");
 /// let model = ch.output_model(c_out)?;
 /// // The paper's T_cout = {(2, 8, 8, 6, 6)}: the c_in→c_out false path
@@ -242,9 +150,12 @@ pub fn topological_delays(netlist: &Netlist, output: NetId) -> Result<Vec<Time>,
 #[derive(Debug)]
 pub struct Characterizer<'a> {
     netlist: &'a Netlist,
-    opts: CharacterizeOptions,
+    config: &'a AnalysisConfig,
     checks: u64,
     stability: StabilityStats,
+    /// Receives characterization spans/events (relaxation steps,
+    /// cone-signature hits, SAT episodes) from
+    /// [`characterize_module_traced`]; disabled otherwise.
     tracer: Tracer,
     /// Shared-solver mode's one module-wide analyzer: every candidate
     /// tuple of every cone is validated against this single incremental
@@ -255,29 +166,19 @@ pub struct Characterizer<'a> {
 }
 
 impl<'a> Characterizer<'a> {
-    /// Creates a characterizer for `netlist`.
+    /// Creates a characterizer for `netlist`. It reads `max_tuples`
+    /// (greedy passes), `lengths_cap`, `try_irrelevant`, `budget`,
+    /// `cone_sig` and `shared_solver` from `config`.
     #[must_use]
-    pub fn new(netlist: &'a Netlist, opts: CharacterizeOptions) -> Characterizer<'a> {
+    pub fn new(netlist: &'a Netlist, config: &'a AnalysisConfig) -> Characterizer<'a> {
         Characterizer {
             netlist,
-            opts,
+            config,
             checks: 0,
             stability: StabilityStats::default(),
             tracer: Tracer::disabled(),
             shared: None,
         }
-    }
-
-    /// Installs a tracer; characterization spans/events (relaxation
-    /// steps, cone-signature hits, SAT episodes) are recorded into it.
-    /// Tracing never changes results — only the side buffer.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Takes the tracer back (leaving a disabled one).
-    pub fn take_tracer(&mut self) -> Tracer {
-        std::mem::take(&mut self.tracer)
     }
 
     /// Number of stability (validity) checks performed so far.
@@ -319,7 +220,7 @@ impl<'a> Characterizer<'a> {
     }
 
     /// Like [`Characterizer::output_model`], consulting (and feeding) a
-    /// [`ConeSigCache`] when [`CharacterizeOptions::cone_sig`] is on.
+    /// [`ConeSigCache`] when [`AnalysisConfig::cone_sig`] is on.
     ///
     /// On a cache hit the second component names the module that
     /// originally paid for the shared cone (possibly this one, for
@@ -374,7 +275,7 @@ impl<'a> Characterizer<'a> {
             return Ok((TimingModel::from_tuples(vec![TimingTuple::new(full)]), None));
         }
         let sta = TopoSta::new(&cone)?;
-        let distinct = sta.distinct_lengths_to(cone_out, self.opts.lengths_cap);
+        let distinct = sta.distinct_lengths_to(cone_out, self.config.lengths_cap);
         let lists: Vec<Vec<Time>> = cone
             .inputs()
             .iter()
@@ -415,7 +316,7 @@ impl<'a> Characterizer<'a> {
             TimingModel::from_tuples(expanded)
         };
 
-        let cache = cache.filter(|_| self.opts.cone_sig);
+        let cache = cache.filter(|_| self.config.cone_sig);
         let key = match &cache {
             Some(_) => Some(cone_signature(&cone)?),
             None => None,
@@ -497,7 +398,7 @@ impl<'a> Characterizer<'a> {
         if entry.crit_slots != crit_slots {
             return None;
         }
-        if self.opts.budget.is_unlimited() {
+        if self.config.budget.is_unlimited() {
             // A fresh unlimited run never degrades, so replaying a
             // budget-degraded entry (stored by a budgeted filler)
             // would not be bit-identical — refuse it.
@@ -524,7 +425,7 @@ impl<'a> Characterizer<'a> {
         topo: &[Time],
         by_criticality: &[usize],
     ) -> Result<(Vec<TimingTuple>, bool), NetlistError> {
-        if self.opts.shared_solver && self.opts.budget.is_unlimited() {
+        if self.config.shared_solver && self.config.budget.is_unlimited() {
             // Shared-solver mode: one module-wide analyzer validates
             // every candidate tuple of every cone. Each check is
             // domain-restricted to the queried output's transitive
@@ -538,7 +439,7 @@ impl<'a> Characterizer<'a> {
                 None => {
                     let far = vec![Time::POS_INF; self.netlist.inputs().len()];
                     let mut a = StabilityAnalyzer::new(self.netlist, &far, SatAlg::new_shared())?;
-                    a.set_budget(self.opts.budget);
+                    a.set_budget(self.config.budget);
                     a
                 }
             };
@@ -561,7 +462,7 @@ impl<'a> Characterizer<'a> {
             // settled-function memo warm.
             let topo_arrivals: Vec<Time> = topo.iter().map(|&d| -d).collect();
             let mut analyzer = StabilityAnalyzer::new(cone, &topo_arrivals, SatAlg::new())?;
-            analyzer.set_budget(self.opts.budget);
+            analyzer.set_budget(self.config.budget);
             if self.tracer.is_enabled() {
                 analyzer.alg_mut().set_episode_recording(true);
             }
@@ -585,7 +486,7 @@ impl<'a> Characterizer<'a> {
         by_criticality: &[usize],
     ) -> Result<(Vec<TimingTuple>, bool), NetlistError> {
         let n_cone = lists.len();
-        let passes = self.opts.max_tuples.max(1).min(n_cone);
+        let passes = self.config.max_tuples.max(1).min(n_cone);
         let mut tuples = Vec::with_capacity(passes + 1);
         let mut hit_budget = false;
         for seed in 0..passes {
@@ -639,7 +540,7 @@ impl<'a> Characterizer<'a> {
                     }
                 }
             }
-            if reached_bottom && self.opts.try_irrelevant {
+            if reached_bottom && self.config.try_irrelevant {
                 let mut candidate = delays.clone();
                 candidate[i] = Time::NEG_INF;
                 match self.tuple_is_valid(analyzer, query, &candidate) {
@@ -726,9 +627,9 @@ struct QueryShape<'p> {
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
 pub fn characterize_module(
     netlist: &Netlist,
-    opts: CharacterizeOptions,
+    config: &AnalysisConfig,
 ) -> Result<Vec<TimingModel>, NetlistError> {
-    characterize_module_with_stats(netlist, opts).map(|(models, _)| models)
+    characterize_module_with_stats(netlist, config).map(|(models, _)| models)
 }
 
 /// Like [`characterize_module`], also returning the stability/solver
@@ -739,9 +640,9 @@ pub fn characterize_module(
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
 pub fn characterize_module_with_stats(
     netlist: &Netlist,
-    opts: CharacterizeOptions,
+    config: &AnalysisConfig,
 ) -> Result<(Vec<TimingModel>, StabilityStats), NetlistError> {
-    let mut ch = Characterizer::new(netlist, opts);
+    let mut ch = Characterizer::new(netlist, config);
     let models = netlist
         .outputs()
         .iter()
@@ -764,11 +665,11 @@ pub type CachedCharacterization = (Vec<TimingModel>, StabilityStats, Vec<Option<
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
 pub fn characterize_module_cached(
     netlist: &Netlist,
-    opts: CharacterizeOptions,
+    config: &AnalysisConfig,
     cache: &mut ConeSigCache,
 ) -> Result<CachedCharacterization, NetlistError> {
     let mut tracer = Tracer::disabled();
-    characterize_module_traced(netlist, opts, Some(cache), &mut tracer)
+    characterize_module_traced(netlist, config, Some(cache), &mut tracer)
 }
 
 /// The fully-instrumented characterization entry point: like
@@ -783,12 +684,12 @@ pub fn characterize_module_cached(
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
 pub fn characterize_module_traced(
     netlist: &Netlist,
-    opts: CharacterizeOptions,
+    config: &AnalysisConfig,
     cache: Option<&mut ConeSigCache>,
     tracer: &mut Tracer,
 ) -> Result<CachedCharacterization, NetlistError> {
-    let mut ch = Characterizer::new(netlist, opts);
-    ch.set_tracer(std::mem::take(tracer));
+    let mut ch = Characterizer::new(netlist, config);
+    ch.tracer = std::mem::take(tracer);
     let result = (|| {
         let mut models = Vec::with_capacity(netlist.outputs().len());
         let mut owners = Vec::with_capacity(netlist.outputs().len());
@@ -809,7 +710,7 @@ pub fn characterize_module_traced(
         }
         Ok((models, owners))
     })();
-    *tracer = ch.take_tracer();
+    *tracer = std::mem::take(&mut ch.tracer);
     let (models, owners) = result?;
     Ok((models, ch.stability_stats(), owners))
 }
@@ -819,6 +720,7 @@ mod tests {
     use super::*;
     use hfta_netlist::gen::{carry_skip_block, CsaDelays};
     use hfta_netlist::GateKind;
+    use hfta_sat::SolveBudget;
 
     fn t(v: i64) -> Time {
         Time::new(v)
@@ -829,7 +731,7 @@ mod tests {
     #[test]
     fn paper_models_for_carry_skip_block() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let models = characterize_module(&nl, CharacterizeOptions::default()).unwrap();
+        let models = characterize_module(&nl, &AnalysisConfig::default()).unwrap();
         // T_s0 = {(2, 4, 4, −∞, −∞)} (topological).
         let s0 = &models[0];
         assert_eq!(
@@ -863,7 +765,7 @@ mod tests {
     fn model_is_conservative_vs_flat() {
         use crate::delay::DelayAnalyzer;
         let nl = carry_skip_block(2, CsaDelays::default());
-        let models = characterize_module(&nl, CharacterizeOptions::default()).unwrap();
+        let models = characterize_module(&nl, &AnalysisConfig::default()).unwrap();
         let patterns: Vec<Vec<Time>> = vec![
             vec![t(0); 5],
             vec![t(8), t(0), t(0), t(0), t(0)],
@@ -899,7 +801,7 @@ mod tests {
         let z = nl.add_net("z");
         nl.add_gate(GateKind::And, &[a, b], z, 1).unwrap();
         nl.mark_output(z);
-        let models = characterize_module(&nl, CharacterizeOptions::default()).unwrap();
+        let models = characterize_module(&nl, &AnalysisConfig::default()).unwrap();
         assert_eq!(models[0].tuples(), &[TimingTuple::new(vec![t(1), t(1)])]);
     }
 
@@ -913,7 +815,7 @@ mod tests {
         let z = nl.add_net("z");
         nl.add_gate(GateKind::Mux, &[s, a, a], z, 2).unwrap();
         nl.mark_output(z);
-        let models = characterize_module(&nl, CharacterizeOptions::default()).unwrap();
+        let models = characterize_module(&nl, &AnalysisConfig::default()).unwrap();
         assert_eq!(
             models[0].tuples(),
             &[TimingTuple::new(vec![Time::NEG_INF, t(2)])]
@@ -927,14 +829,15 @@ mod tests {
         let z = nl.add_net("z");
         nl.add_gate(GateKind::Const1, &[], z, 1).unwrap();
         nl.mark_output(z);
-        let models = characterize_module(&nl, CharacterizeOptions::default()).unwrap();
+        let models = characterize_module(&nl, &AnalysisConfig::default()).unwrap();
         assert_eq!(models[0].tuples(), &[TimingTuple::new(vec![Time::NEG_INF])]);
     }
 
     #[test]
     fn checks_are_counted() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let mut ch = Characterizer::new(&nl, CharacterizeOptions::default());
+        let config = AnalysisConfig::default();
+        let mut ch = Characterizer::new(&nl, &config);
         let c_out = nl.find_net("c_out").unwrap();
         let _ = ch.output_model(c_out).unwrap();
         assert!(ch.checks() > 0);
@@ -946,11 +849,9 @@ mod tests {
     #[test]
     fn zero_budget_degrades_to_topological() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let opts = CharacterizeOptions {
-            budget: SolveBudget::default().with_conflicts(0),
-            ..CharacterizeOptions::default()
-        };
-        let (models, stats) = characterize_module_with_stats(&nl, opts).unwrap();
+        let config =
+            AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(0));
+        let (models, stats) = characterize_module_with_stats(&nl, &config).unwrap();
         assert!(stats.budget_hits > 0, "{stats:?}");
         assert!(stats.degraded > 0, "{stats:?}");
         // c_out loses the false-path refinement (2 → 6 on the c_in pin)
@@ -961,7 +862,7 @@ mod tests {
             &[TimingTuple::new(vec![t(6), t(8), t(8), t(6), t(6)])]
         );
         // Budgeted models are conservative versus the exact ones.
-        let exact = characterize_module(&nl, CharacterizeOptions::default()).unwrap();
+        let exact = characterize_module(&nl, &AnalysisConfig::default()).unwrap();
         let patterns: Vec<Vec<Time>> = vec![
             vec![t(0); 5],
             vec![t(8), t(0), t(0), t(0), t(0)],
@@ -974,7 +875,7 @@ mod tests {
         }
         // An unlimited budget leaves the results and counters untouched.
         let (unbudgeted, s) =
-            characterize_module_with_stats(&nl, CharacterizeOptions::default()).unwrap();
+            characterize_module_with_stats(&nl, &AnalysisConfig::default()).unwrap();
         assert_eq!(unbudgeted, exact);
         assert_eq!(s.budget_hits, 0);
         assert_eq!(s.degraded, 0);
@@ -987,7 +888,7 @@ mod tests {
         let a = carry_skip_block(2, CsaDelays::default());
         let mut b = carry_skip_block(2, CsaDelays::default());
         b.set_name("renamed_copy");
-        let opts = CharacterizeOptions::default();
+        let opts = &AnalysisConfig::default();
         let mut cache = ConeSigCache::new();
         let (ma, _, owners_a) = characterize_module_cached(&a, opts, &mut cache).unwrap();
         let (mb, sb, owners_b) = characterize_module_cached(&b, opts, &mut cache).unwrap();
@@ -1001,12 +902,9 @@ mod tests {
         assert_eq!(sb.cone_sig_hits, 3);
         assert!(owners_b.iter().all(|o| o.as_deref() == Some(a.name())));
         // Turning the toggle off bypasses the cache entirely.
-        let off = CharacterizeOptions {
-            cone_sig: false,
-            ..opts
-        };
+        let off = AnalysisConfig::default().with_cone_sig(false);
         let mut cold = ConeSigCache::new();
-        let (moff, soff, _) = characterize_module_cached(&b, off, &mut cold).unwrap();
+        let (moff, soff, _) = characterize_module_cached(&b, &off, &mut cold).unwrap();
         assert_eq!(moff, mb);
         assert_eq!((cold.hits(), cold.misses()), (0, 0));
         assert_eq!(soff.cone_sig_hits + soff.cone_sig_misses, 0);
@@ -1035,7 +933,7 @@ mod tests {
         let permuted = aoi(&["c", "a", "b"]);
 
         // Unlimited budget: the permuted isomorph shares.
-        let opts = CharacterizeOptions::default();
+        let opts = &AnalysisConfig::default();
         let mut cache = ConeSigCache::new();
         let _ = characterize_module_cached(&base, opts, &mut cache).unwrap();
         let (mp, _, _) = characterize_module_cached(&permuted, opts, &mut cache).unwrap();
@@ -1044,17 +942,15 @@ mod tests {
 
         // Limited budget: the permuted isomorph must re-run, a verbatim
         // renamed copy may still share.
-        let tight = CharacterizeOptions {
-            budget: SolveBudget::default().with_conflicts(1_000_000),
-            ..opts
-        };
+        let tight =
+            AnalysisConfig::default().with_budget(SolveBudget::default().with_conflicts(1_000_000));
         let mut cache = ConeSigCache::new();
-        let _ = characterize_module_cached(&base, tight, &mut cache).unwrap();
-        let _ = characterize_module_cached(&permuted, tight, &mut cache).unwrap();
+        let _ = characterize_module_cached(&base, &tight, &mut cache).unwrap();
+        let _ = characterize_module_cached(&permuted, &tight, &mut cache).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         let mut copy = aoi(&["a", "b", "c"]);
         copy.set_name("copy");
-        let _ = characterize_module_cached(&copy, tight, &mut cache).unwrap();
+        let _ = characterize_module_cached(&copy, &tight, &mut cache).unwrap();
         assert_eq!(cache.hits(), 1);
     }
 
@@ -1062,11 +958,8 @@ mod tests {
     #[test]
     fn single_pass_option() {
         let nl = carry_skip_block(2, CsaDelays::default());
-        let opts = CharacterizeOptions {
-            max_tuples: 1,
-            ..CharacterizeOptions::default()
-        };
-        let models = characterize_module(&nl, opts).unwrap();
+        let config = AnalysisConfig::default().with_max_tuples(1);
+        let models = characterize_module(&nl, &config).unwrap();
         for m in &models {
             assert_eq!(m.tuples().len(), 1);
         }

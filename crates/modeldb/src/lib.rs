@@ -51,7 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
-use hfta_fta::{CharacterizeOptions, ModelSource, ModuleTiming, TimingModel};
+use hfta_fta::{AnalysisConfig, ModelSource, ModuleTiming, TimingModel};
 use hfta_netlist::{cone_signature, exact_fingerprint, Netlist, Time};
 
 /// File extension of model records.
@@ -200,19 +200,20 @@ impl ModelDb {
         self.stats
     }
 
-    /// Looks up a stored model for `netlist`, validating the full
-    /// soundness predicate (see the crate docs). Returns the model
-    /// rebound to `netlist`'s port names, or `None` on miss — including
-    /// when a record exists but fails validation (counted as an
-    /// invalidation, never served).
+    /// Looks up a stored model for `netlist`, characterized from
+    /// `source` under `config` (analyzers pass `config.source`),
+    /// validating the full soundness predicate (see the crate docs).
+    /// Returns the model rebound to `netlist`'s port names, or `None`
+    /// on miss — including when a record exists but fails validation
+    /// (counted as an invalidation, never served).
     pub fn probe(
         &mut self,
         netlist: &Netlist,
         source: ModelSource,
-        opts: &CharacterizeOptions,
+        config: &AnalysisConfig,
     ) -> Option<ModuleTiming> {
         let fp = exact_fingerprint(netlist);
-        let ofp = options_fingerprint(source, opts);
+        let ofp = fingerprint(source, config);
         let path = self.dir.join(model_file_name(fp, ofp));
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
@@ -255,7 +256,7 @@ impl ModelDb {
         &mut self,
         netlist: &Netlist,
         source: ModelSource,
-        opts: &CharacterizeOptions,
+        config: &AnalysisConfig,
         timing: &ModuleTiming,
         degraded: bool,
     ) -> bool {
@@ -267,7 +268,7 @@ impl ModelDb {
             return false;
         }
         let fp = exact_fingerprint(netlist);
-        let ofp = options_fingerprint(source, opts);
+        let ofp = fingerprint(source, config);
         let path = self.dir.join(model_file_name(fp, ofp));
         if path.exists() {
             self.stats.store_skips += 1;
@@ -520,23 +521,31 @@ pub fn verdict_file_name(sig: u128) -> String {
     format!("v{sig:032x}.{VERDICT_EXT}")
 }
 
-/// Fingerprint of the characterization options that shape a model.
+/// Fingerprint of the configuration fields that shape a model.
 ///
-/// Includes the model source and every option that changes the
+/// Includes the model source and every field that changes the
 /// characterized tuples (`max_tuples`, `lengths_cap`,
 /// `try_irrelevant`). Excludes the solve budget (degraded models are
-/// never stored, and undegraded results are budget-independent) and
-/// `cone_sig` (signature sharing is bit-identical by construction).
+/// never stored, and undegraded results are budget-independent),
+/// `cone_sig` and `shared_solver` (both bit-identical by construction),
+/// and the fields that only schedule or observe the work (`threads`,
+/// `scheduler`, `trace`, ...).
 #[must_use]
-pub fn options_fingerprint(source: ModelSource, opts: &CharacterizeOptions) -> u64 {
+pub fn options_fingerprint(config: &AnalysisConfig) -> u64 {
+    fingerprint(config.source, config)
+}
+
+/// [`options_fingerprint`] with the model source given separately, as
+/// [`ModelDb::probe`] and [`ModelDb::store`] take it.
+fn fingerprint(source: ModelSource, config: &AnalysisConfig) -> u64 {
     let mut h = Fnv::new();
     h.push(match source {
         ModelSource::Functional => 1,
         ModelSource::Topological => 2,
     });
-    h.push(opts.max_tuples as u64);
-    h.push(opts.lengths_cap as u64);
-    h.push(u64::from(opts.try_irrelevant));
+    h.push(config.max_tuples as u64);
+    h.push(config.lengths_cap as u64);
+    h.push(u64::from(config.try_irrelevant));
     h.finish()
 }
 
@@ -915,15 +924,14 @@ mod tests {
     }
 
     fn characterized(nl: &Netlist) -> ModuleTiming {
-        ModuleTiming::characterize(nl, ModelSource::Functional, CharacterizeOptions::default())
-            .unwrap()
+        ModuleTiming::characterize(nl, &AnalysisConfig::default()).unwrap()
     }
 
     #[test]
     fn store_then_probe_round_trips() {
         let dir = temp_db_dir("roundtrip");
         let nl = carry_skip_block(2, CsaDelays::default());
-        let opts = CharacterizeOptions::default();
+        let opts = AnalysisConfig::default();
         let timing = characterized(&nl);
         let mut db = ModelDb::open(&dir).unwrap();
         assert!(db.store(&nl, ModelSource::Functional, &opts, &timing, false));
@@ -938,7 +946,7 @@ mod tests {
     fn cold_handle_probes_the_same_record() {
         let dir = temp_db_dir("cold");
         let nl = carry_skip_block(2, CsaDelays::default());
-        let opts = CharacterizeOptions::default();
+        let opts = AnalysisConfig::default();
         let timing = characterized(&nl);
         {
             let mut db = ModelDb::open(&dir).unwrap();
@@ -968,7 +976,7 @@ mod tests {
             })
             .collect();
         let timings: Vec<ModuleTiming> = variants.iter().map(characterized).collect();
-        let opts = CharacterizeOptions::default();
+        let opts = AnalysisConfig::default();
         // Two writers share the directory, store the variants in
         // opposite orders under a tight limit (every store races an
         // eviction scan), and probe as they go.
@@ -1044,7 +1052,7 @@ mod tests {
     fn degraded_models_are_refused() {
         let dir = temp_db_dir("degraded");
         let nl = carry_skip_block(2, CsaDelays::default());
-        let opts = CharacterizeOptions::default();
+        let opts = AnalysisConfig::default();
         let timing = characterized(&nl);
         let mut db = ModelDb::open(&dir).unwrap();
         assert!(!db.store(&nl, ModelSource::Functional, &opts, &timing, true));
@@ -1058,28 +1066,49 @@ mod tests {
     fn options_are_part_of_the_key() {
         let dir = temp_db_dir("opts");
         let nl = carry_skip_block(2, CsaDelays::default());
-        let opts = CharacterizeOptions::default();
+        let opts = AnalysisConfig::default();
         let timing = characterized(&nl);
         let mut db = ModelDb::open(&dir).unwrap();
         db.store(&nl, ModelSource::Functional, &opts, &timing, false);
         // Different max_tuples → different key → miss.
-        let other = CharacterizeOptions::default().with_max_tuples(2);
+        let other = AnalysisConfig::default().with_max_tuples(2);
         assert_eq!(db.probe(&nl, ModelSource::Functional, &other), None);
         // Different source → miss.
         assert_eq!(db.probe(&nl, ModelSource::Topological, &opts), None);
         // A different *budget* is NOT part of the key: stored models
         // are exact, so any budget may use them.
-        let budgeted = CharacterizeOptions::default()
+        let budgeted = AnalysisConfig::default()
             .with_budget(hfta_fta::SolveBudget::default().with_conflicts(1));
         assert!(db.probe(&nl, ModelSource::Functional, &budgeted).is_some());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The option key names every record already on disk, so it must
+    /// not drift: these literals were recorded before the per-engine
+    /// option structs were folded into `AnalysisConfig`. Fields that
+    /// only schedule, observe or bound the work stay out of the key.
+    #[test]
+    fn options_fingerprint_is_pinned() {
+        let default = AnalysisConfig::default();
+        assert_eq!(options_fingerprint(&default), 0xabc2_c6a9_5d39_4da1);
+        let other = AnalysisConfig::default()
+            .with_max_tuples(2)
+            .with_source(ModelSource::Topological);
+        assert_eq!(options_fingerprint(&other), 0xcb26_a3c2_ab11_4fa4);
+        let scheduling_only = AnalysisConfig::default()
+            .with_budget(hfta_fta::SolveBudget::default().with_conflicts(1))
+            .with_cone_sig(false)
+            .with_shared_solver(false)
+            .with_threads(8)
+            .with_trace(hfta_fta::TraceSink::enabled());
+        assert_eq!(options_fingerprint(&scheduling_only), 0xabc2_c6a9_5d39_4da1);
     }
 
     #[test]
     fn name_rebinding_serves_isomorphically_named_twins() {
         let dir = temp_db_dir("rebind");
         let nl = carry_skip_block(2, CsaDelays::default());
-        let opts = CharacterizeOptions::default();
+        let opts = AnalysisConfig::default();
         let timing = characterized(&nl);
         let mut db = ModelDb::open(&dir).unwrap();
         db.store(&nl, ModelSource::Functional, &opts, &timing, false);
@@ -1114,7 +1143,7 @@ mod tests {
     fn corrupted_records_are_invalidated_not_served() {
         let dir = temp_db_dir("corrupt");
         let nl = carry_skip_block(2, CsaDelays::default());
-        let opts = CharacterizeOptions::default();
+        let opts = AnalysisConfig::default();
         let timing = characterized(&nl);
         let mut db = ModelDb::open(&dir).unwrap();
         db.store(&nl, ModelSource::Functional, &opts, &timing, false);
@@ -1154,7 +1183,7 @@ mod tests {
     #[test]
     fn eviction_is_lru_with_observable_stats() {
         let dir = temp_db_dir("evict");
-        let opts = CharacterizeOptions::default();
+        let opts = AnalysisConfig::default();
         let mut db = ModelDb::open(&dir).unwrap();
         db.set_limit(Some(2));
         let blocks: Vec<Netlist> = (2..=4)

@@ -588,9 +588,17 @@ pub fn serve_unix_socket(
     Ok(())
 }
 
+/// How long a connection's writer may block on a client that stops
+/// reading before it gives the connection up; bounds the daemon's exit.
+#[cfg(unix)]
+const WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+
 /// Accepts connections until `stop`, spawning a reader/writer pair per
-/// connection; on the way out, shuts every live stream down (unblocking
-/// its reader) and joins all connection threads.
+/// connection; on the way out, shuts down the read half of every live
+/// stream (unblocking its reader) and joins all connection threads.
+/// Only the read half: each writer still flushes the responses already
+/// queued for it — the `shutdown` reply included — before its thread
+/// ends, and [`WRITE_TIMEOUT`] bounds how long that can take.
 #[cfg(unix)]
 fn accept_loop(
     listener: &std::os::unix::net::UnixListener,
@@ -607,9 +615,11 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 // The accepted stream must block (only the listener
-                // polls); keep a handle to force readers off `recv` at
-                // shutdown.
-                if stream.set_nonblocking(false).is_err() {
+                // polls), with writes bounded by WRITE_TIMEOUT; keep a
+                // handle to force readers off `recv` at shutdown.
+                if stream.set_nonblocking(false).is_err()
+                    || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+                {
                     continue;
                 }
                 let Ok(handle) = stream.try_clone() else {
@@ -631,7 +641,7 @@ fn accept_loop(
         }
     }
     for s in &streams {
-        let _ = s.shutdown(std::net::Shutdown::Both);
+        let _ = s.shutdown(std::net::Shutdown::Read);
     }
     for h in conns {
         let _ = h.join();

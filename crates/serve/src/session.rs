@@ -1250,7 +1250,8 @@ mod tests {
         let gid = block.driver(c_out).unwrap();
         block.set_gate_delay(gid, 9);
         edited.replace_leaf(block).unwrap();
-        let mut cold = IncrementalAnalyzer::new(edited, "csa4.2", Default::default()).unwrap();
+        let mut cold =
+            IncrementalAnalyzer::with_config(edited, "csa4.2", &AnalysisConfig::default()).unwrap();
         let want = cold.analyze(&[Time::ZERO; 9]).unwrap().delay;
         let resp = line(&mut s, r#"{"id":5,"kind":"report"}"#);
         assert!(

@@ -96,13 +96,20 @@ impl Daemon {
         }
     }
 
-    /// Sends `shutdown` on a fresh connection, joins the daemon thread
-    /// and returns the final counters.
+    /// Sends `shutdown` on a fresh connection, requires its reply, joins
+    /// the daemon thread and returns the final counters.
     fn shutdown(self) -> ServeCounters {
         let mut conn = self.connect();
         writeln!(conn, r#"{{"id":"bye","kind":"shutdown"}}"#).expect("shutdown writes");
         let mut line = String::new();
-        let _ = BufReader::new(&conn).read_line(&mut line);
+        BufReader::new(&conn)
+            .read_line(&mut line)
+            .expect("shutdown reply reads");
+        assert_eq!(
+            line.trim_end(),
+            r#"{"id":"bye","ok":true,"kind":"shutdown"}"#,
+            "the shutdown request must be answered before the daemon exits"
+        );
         let session = self.handle.join().expect("daemon thread panicked");
         session.counters()
     }
@@ -337,4 +344,15 @@ fn eco_behind_write_barrier_keeps_reads_coherent() {
     let counters = daemon.shutdown();
     assert_eq!(counters.eco_edits, 1);
     assert_eq!(counters.connections_active, 0);
+}
+
+/// The `shutdown` reply is queued to its connection's writer just before
+/// the daemon tears its connections down; teardown must let the writer
+/// flush it. Many short-lived daemons make a lost reply show up even
+/// when the race window is narrow.
+#[test]
+fn every_shutdown_request_is_answered() {
+    for _ in 0..150 {
+        let _ = spawn_daemon(session(), 1).shutdown();
+    }
 }

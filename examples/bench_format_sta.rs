@@ -7,7 +7,7 @@
 
 use hfta::netlist::bench_format;
 use hfta::netlist::partition::cascade_bipartition;
-use hfta::{DelayAnalyzer, DemandDrivenAnalyzer, Time, TopoSta};
+use hfta::{AnalysisConfig, DelayAnalyzer, DemandDrivenAnalyzer, Time, TopoSta};
 
 /// A small circuit with a classic false path: a carry-skip-style
 /// bypass around a two-stage chain.
@@ -64,7 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         design.leaf("skip_demo_head").expect("head").name(),
         design.leaf("skip_demo_tail").expect("tail").name()
     );
-    let mut demand = DemandDrivenAnalyzer::new(&design, "skip_demo_top", Default::default())?;
+    let mut demand =
+        DemandDrivenAnalyzer::with_config(&design, "skip_demo_top", &AnalysisConfig::default())?;
     let result = demand.analyze(&vec![Time::ZERO; top.inputs().len()])?;
     println!(
         "hierarchical (demand-driven) delay = {} ({} stability checks, {} refinements)",

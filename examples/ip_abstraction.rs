@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example ip_abstraction`
 
 use hfta::netlist::gen::{carry_skip_adder, CsaDelays};
-use hfta::{CharacterizeOptions, HierAnalyzer, HierOptions, ModelSource, ModuleTiming, Time};
+use hfta::{AnalysisConfig, HierAnalyzer, ModuleTiming, Time};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -------------------------------------------------------------
@@ -17,11 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -------------------------------------------------------------
     let design = carry_skip_adder(8, 2, CsaDelays::default());
     let block = design.leaf("csa_block2").expect("generator provides it");
-    let timing = ModuleTiming::characterize(
-        block,
-        ModelSource::Functional,
-        CharacterizeOptions::default(),
-    )?;
+    let timing = ModuleTiming::characterize(block, &AnalysisConfig::default())?;
     let exported = timing.to_text();
     println!("== exported IP timing abstraction ==\n{exported}");
 
@@ -36,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let black_box = ModuleTiming::from_text(&loaded)?;
     assert_eq!(black_box, timing, "lossless round trip");
 
-    let mut hier = HierAnalyzer::new(&design, "csa8.2", HierOptions::default())?;
+    let mut hier = HierAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())?;
     hier.install_model(black_box);
     let analysis = hier.analyze(&[Time::ZERO; 17])?;
     println!("\n== integrator analysis using only the abstraction ==");

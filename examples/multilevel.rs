@@ -8,7 +8,7 @@
 use hfta::core::{analyze_multilevel, characterize_recursive, ComposeOptions};
 use hfta::netlist::gen::{carry_skip_adder, CsaDelays};
 use hfta::netlist::Composite;
-use hfta::{functional_circuit_delay, Time, TopoSta};
+use hfta::{functional_circuit_delay, AnalysisConfig, Time, TopoSta};
 use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,8 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     design.add_composite(top)?;
 
     // Compose the timing model of the mid-level module.
+    let (config, opts) = (AnalysisConfig::default(), ComposeOptions::default());
     let mut cache = HashMap::new();
-    let timing = characterize_recursive(&design, "csa8.2", &ComposeOptions::default(), &mut cache)?;
+    let timing = characterize_recursive(&design, "csa8.2", &config, &opts, &mut cache)?;
     println!(
         "composed model of csa8.2 ({} inputs, {} outputs):",
         timing.input_names().len(),
@@ -73,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Analyze the 16-bit top level through the composed models.
     let arrivals = vec![Time::ZERO; 33];
-    let analysis = analyze_multilevel(&design, "pair16", &arrivals, &ComposeOptions::default())?;
+    let analysis = analyze_multilevel(&design, "pair16", &arrivals, &config, &opts)?;
 
     // References.
     let flat = design.flatten("pair16")?;

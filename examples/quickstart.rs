@@ -4,9 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use hfta::netlist::gen::{carry_skip_adder, carry_skip_adder_flat, CsaDelays};
-use hfta::{
-    functional_circuit_delay, HierAnalyzer, HierOptions, ModelSource, ModuleTiming, Time, TopoSta,
-};
+use hfta::{functional_circuit_delay, AnalysisConfig, HierAnalyzer, ModuleTiming, Time, TopoSta};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -------------------------------------------------------------
@@ -16,11 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = carry_skip_adder(4, 2, CsaDelays::default());
     let block = design.leaf("csa_block2").expect("generator provides it");
 
-    let timing = ModuleTiming::characterize(
-        block,
-        ModelSource::Functional,
-        hfta::CharacterizeOptions::default(),
-    )?;
+    let timing = ModuleTiming::characterize(block, &AnalysisConfig::default())?;
     println!(
         "timing models of `{}` (inputs: {}):",
         timing.module(),
@@ -35,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 2: hierarchical analysis of the 4-bit cascade (Figure 2).
     // -------------------------------------------------------------
     let arrivals = vec![Time::ZERO; 9];
-    let mut hier = HierAnalyzer::new(&design, "csa4.2", HierOptions::default())?;
+    let mut hier = HierAnalyzer::with_config(&design, "csa4.2", &AnalysisConfig::default())?;
     let analysis = hier.analyze(&arrivals)?;
     let top = design.composite("csa4.2").expect("generator provides it");
     println!("hierarchical analysis of csa4.2 (all inputs at t = 0):");

@@ -18,6 +18,11 @@ fi
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
+echo "== benchmark crate build (perfbench, its own workspace) =="
+# perfbench is not a workspace member, so the workspace build above never
+# compiles it; build it here so an API change cannot break it unnoticed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== test (offline) =="
 cargo test -q --offline --workspace
 

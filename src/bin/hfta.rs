@@ -1,17 +1,17 @@
 //! `hfta` — command-line hierarchical functional timing analysis.
 //!
 //! ```text
-//! hfta report <file.bench|file.hnl> [--module NAME] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-shared-solver] [--stats] [--trace] [--trace-json FILE]
-//! hfta hier <file.hnl> --top NAME [--algo two-step|demand] [--threads N] [--no-thread-clamp] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-cone-sig] [--no-shared-solver] [--use-models DIR] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]
-//! hfta serve <file> [--top NAME] [--socket PATH] [--threads N] [--deadline-ms MS] [--budget-conflicts N] [--max-line BYTES] [--no-shared-solver] [--use-models DIR] [--no-write-through] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]
-//! hfta characterize <file> [--module NAME] [--topological] [-o MODEL.hfta] [--emit-model DIR] [--use-models DIR]
+//! hfta report <file.bench|file.hnl> [--module NAME] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--[no-]shared-solver] [--stats] [--trace] [--trace-json FILE]
+//! hfta hier <file.hnl> --top NAME [--algo two-step|demand] [--threads N] [--no-thread-clamp] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-cone-sig] [--[no-]shared-solver] [--use-models DIR] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]
+//! hfta serve <file> [--top NAME] [--socket PATH] [--threads N] [--deadline-ms MS] [--budget-conflicts N] [--max-line BYTES] [--[no-]shared-solver] [--use-models DIR] [--no-write-through] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]
+//! hfta characterize <file> [--module NAME] [--topological] [-o MODEL.hfta] [--emit-model DIR] [--use-models DIR] [--stats]
 //! hfta models <DIR>
-//! hfta sim <file> --from BITS --to BITS
+//! hfta sim <file> [--module NAME] --from BITS --to BITS
 //! hfta check <file> [--module NAME]
 //! hfta dot <file> [--module NAME] [-o GRAPH.dot]
 //! hfta verify <file> --model MODEL.hfta [--module NAME]
 //! hfta flatten <file.hnl> --top NAME [-o FLAT.bench]
-//! hfta convert <file> -o OUT.{bench|blif}
+//! hfta convert <file> [--module NAME] -o OUT.{bench|blif}
 //! ```
 //!
 //! `.bench` files hold a single flat module; `.hnl` files hold
@@ -89,8 +89,8 @@ use hfta::netlist::event_sim::simulate_transition;
 use hfta::netlist::stats::{to_dot, NetlistStats};
 use hfta::netlist::{bench_format, blif, hnl};
 use hfta::{
-    AnalysisConfig, CharacterizeOptions, DemandDrivenAnalyzer, Design, HierAnalyzer, ModelDb,
-    ModelSource, ModuleTiming, Netlist, SolveBudget, Time, TraceSink,
+    AnalysisConfig, DemandDrivenAnalyzer, Design, HierAnalyzer, ModelDb, ModelSource, ModuleTiming,
+    Netlist, SolveBudget, Time, TraceSink,
 };
 
 fn main() -> ExitCode {
@@ -130,17 +130,17 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn usage() -> String {
     "usage:\n  \
-     hfta report <file> [--module NAME] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-shared-solver] [--stats] [--trace] [--trace-json FILE]\n  \
-     hfta hier <file.hnl> --top NAME [--algo two-step|demand] [--threads N] [--no-thread-clamp] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-cone-sig] [--no-shared-solver] [--use-models DIR] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]\n  \
-     hfta serve <file> [--top NAME] [--socket PATH] [--threads N] [--deadline-ms MS] [--budget-conflicts N] [--max-line BYTES] [--no-shared-solver] [--use-models DIR] [--no-write-through] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]\n  \
-     hfta characterize <file> [--module NAME] [--topological] [-o MODEL.hfta] [--emit-model DIR] [--use-models DIR]\n  \
+     hfta report <file> [--module NAME] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--[no-]shared-solver] [--stats] [--trace] [--trace-json FILE]\n  \
+     hfta hier <file.hnl> --top NAME [--algo two-step|demand] [--threads N] [--no-thread-clamp] [--arrival PIN=T]... [--budget-conflicts N] [--budget-ms MS] [--no-cone-sig] [--[no-]shared-solver] [--use-models DIR] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]\n  \
+     hfta serve <file> [--top NAME] [--socket PATH] [--threads N] [--deadline-ms MS] [--budget-conflicts N] [--max-line BYTES] [--[no-]shared-solver] [--use-models DIR] [--no-write-through] [--emit-models DIR] [--model-limit N] [--stats] [--trace] [--trace-json FILE]\n  \
+     hfta characterize <file> [--module NAME] [--topological] [-o MODEL.hfta] [--emit-model DIR] [--use-models DIR] [--stats]\n  \
      hfta models <DIR>\n  \
-     hfta sim <file> --from BITS --to BITS\n  \
+     hfta sim <file> [--module NAME] --from BITS --to BITS\n  \
      hfta check <file> [--module NAME]\n  \
      hfta dot <file> [--module NAME] [-o GRAPH.dot]\n  \
      hfta verify <file> --model MODEL.hfta [--module NAME]\n  \
      hfta flatten <file.hnl> --top NAME [-o FLAT.bench]\n  \
-     hfta convert <file> -o OUT.{bench|blif}"
+     hfta convert <file> [--module NAME] -o OUT.{bench|blif}"
         .to_string()
 }
 
@@ -151,27 +151,44 @@ struct Opts {
     flags: Vec<String>,
 }
 
-const VALUE_FLAGS: &[&str] = &[
-    "--module",
-    "--top",
-    "--algo",
-    "--threads",
-    "--arrival",
-    "-o",
-    "--from",
-    "--to",
-    "--model",
-    "--budget-conflicts",
-    "--budget-ms",
-    "--trace-json",
-    "--use-models",
-    "--emit-models",
-    "--emit-model",
-    "--model-limit",
-    "--socket",
-    "--deadline-ms",
-    "--max-line",
-];
+/// The flags `hfta COMMAND` accepts, read off its line in [`usage`]:
+/// `(flag, takes_value)`. A flag takes a value when its usage entry
+/// names one (`[--module NAME]`); `--[no-]X` stands for both `--X` and
+/// `--no-X`. Reading the flags from the usage text keeps the two from
+/// drifting apart.
+fn command_flags(command: &str) -> Vec<(String, bool)> {
+    let usage = usage();
+    let Some(line) = usage
+        .lines()
+        .find(|l| l.split_whitespace().nth(1) == Some(command))
+    else {
+        return Vec::new();
+    };
+    let tokens: Vec<&str> = line
+        .split_whitespace()
+        .map(|t| {
+            t.trim_start_matches('[')
+                .trim_end_matches("...")
+                .trim_end_matches(']')
+        })
+        .collect();
+    let mut flags = Vec::new();
+    for (i, t) in tokens
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.starts_with('-'))
+    {
+        let takes_value = tokens.get(i + 1).is_some_and(|next| !next.starts_with('-'));
+        match t.strip_prefix("--[no-]") {
+            Some(name) => {
+                flags.push((format!("--{name}"), takes_value));
+                flags.push((format!("--no-{name}"), takes_value));
+            }
+            None => flags.push((t.to_string(), takes_value)),
+        }
+    }
+    flags
+}
 
 /// How the user asked to observe the analysis: a shared sink (disabled
 /// unless some trace output was requested), an optional JSONL path
@@ -268,7 +285,11 @@ fn apply_model_db(mut config: AnalysisConfig, opts: &Opts) -> Result<AnalysisCon
     Ok(config)
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Splits `args` into positionals, `--key value` pairs and switches,
+/// rejecting any flag `hfta command` does not accept (see
+/// [`command_flags`]) instead of silently ignoring it.
+fn parse_opts(args: &[String], command: &str) -> Result<Opts, String> {
+    let accepted = command_flags(command);
     let mut opts = Opts {
         positionals: Vec::new(),
         values: HashMap::new(),
@@ -276,13 +297,19 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
+        let known = accepted.iter().find(|(flag, _)| flag == a);
+        if let Some((_, true)) = known {
             let v = it
                 .next()
                 .ok_or_else(|| format!("flag `{a}` needs a value"))?;
             opts.values.entry(a.clone()).or_default().push(v.clone());
-        } else if a.starts_with('-') {
+        } else if known.is_some() {
             opts.flags.push(a.clone());
+        } else if a.starts_with('-') {
+            return Err(format!(
+                "`hfta {command}` does not take the flag `{a}`\n{}",
+                usage()
+            ));
         } else {
             opts.positionals.push(a.clone());
         }
@@ -377,7 +404,7 @@ fn parse_arrival(spec: &str) -> Result<(String, Time), String> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "report")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
     let nl = pick_leaf(&design, &opts, default.as_deref())?;
@@ -428,7 +455,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_hier(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "hier")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default_top) = load(path)?;
     let top = opts
@@ -535,12 +562,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     use hfta::sched::Scheduler;
     use hfta::serve::{serve_lines, serve_unix_socket, wrap_flat, Action, ServeSession};
 
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "serve")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (loaded, default_top) = load(path)?;
     let top = opts
         .value("--top")
-        .or_else(|| opts.value("--module"))
         .map(str::to_string)
         .or(default_top)
         .ok_or("no top module; pass --top NAME")?;
@@ -665,20 +691,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_characterize(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "characterize")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
-    let source = if opts.has_flag("--topological") {
-        ModelSource::Topological
-    } else {
-        ModelSource::Functional
-    };
+    let mut config = AnalysisConfig::default();
+    if opts.has_flag("--topological") {
+        config = config.with_source(ModelSource::Topological);
+    }
     if let Some(dir) = opts.value("--emit-model") {
-        return emit_models(&design, &opts, dir, source);
+        return emit_models(&design, &opts, dir, &config);
     }
     let nl = pick_leaf(&design, &opts, default.as_deref())?;
-    let timing = ModuleTiming::characterize(nl, source, CharacterizeOptions::default())
-        .map_err(|e| e.to_string())?;
+    let timing = ModuleTiming::characterize(nl, &config).map_err(|e| e.to_string())?;
     let text = timing.to_text();
     match opts.value("-o") {
         Some(out) => {
@@ -695,10 +719,15 @@ fn cmd_characterize(args: &[String]) -> Result<(), String> {
 /// under their sound cache key. Models already present — in the target
 /// database or in a `--use-models DIR` — are served without solver
 /// work, so re-seeding an unchanged design is cheap.
-fn emit_models(design: &Design, opts: &Opts, dir: &str, source: ModelSource) -> Result<(), String> {
+fn emit_models(
+    design: &Design,
+    opts: &Opts,
+    dir: &str,
+    config: &AnalysisConfig,
+) -> Result<(), String> {
     use hfta::netlist::ModuleBody;
 
-    let copts = CharacterizeOptions::default();
+    let source = config.source;
     let mut emit = ModelDb::open(dir).map_err(|e| format!("{dir}: {e}"))?;
     let mut probe = opts.value("--use-models").map(ModelDb::open_read_only);
     let selected = opts.value("--module");
@@ -711,8 +740,8 @@ fn emit_models(design: &Design, opts: &Opts, dir: &str, source: ModelSource) -> 
             continue;
         }
         let reused = emit
-            .probe(nl, source, &copts)
-            .or_else(|| probe.as_mut().and_then(|db| db.probe(nl, source, &copts)));
+            .probe(nl, source, config)
+            .or_else(|| probe.as_mut().and_then(|db| db.probe(nl, source, config)));
         let timing = match reused {
             Some(t) => {
                 served += 1;
@@ -720,10 +749,10 @@ fn emit_models(design: &Design, opts: &Opts, dir: &str, source: ModelSource) -> 
             }
             None => {
                 characterized += 1;
-                ModuleTiming::characterize(nl, source, copts).map_err(|e| e.to_string())?
+                ModuleTiming::characterize(nl, config).map_err(|e| e.to_string())?
             }
         };
-        emit.store(nl, source, &copts, &timing, false);
+        emit.store(nl, source, config, &timing, false);
     }
     if characterized + served == 0 {
         return Err(match selected {
@@ -745,7 +774,7 @@ fn emit_models(design: &Design, opts: &Opts, dir: &str, source: ModelSource) -> 
 /// module name and entry count, or the validation error that makes the
 /// record unusable.
 fn cmd_models(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "models")?;
     let dir = opts.positionals.first().ok_or_else(usage)?;
     let db = ModelDb::open_read_only(dir);
     let records = db.audit().map_err(|e| format!("{dir}: {e}"))?;
@@ -772,7 +801,7 @@ fn cmd_models(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "sim")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
     let nl = pick_leaf(&design, &opts, default.as_deref())?;
@@ -814,7 +843,7 @@ fn parse_bits(bits: &str, nl: &Netlist) -> Result<Vec<bool>, String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "check")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
     design.validate().map_err(|e| e.to_string())?;
@@ -827,7 +856,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_dot(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "dot")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default) = load(path)?;
     let nl = pick_leaf(&design, &opts, default.as_deref())?;
@@ -843,7 +872,7 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "verify")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let model_path = opts.value("--model").ok_or("missing --model MODEL.hfta")?;
     let (design, default) = load(path)?;
@@ -863,7 +892,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_flatten(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "flatten")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let (design, default_top) = load(path)?;
     let top = opts
@@ -884,7 +913,7 @@ fn cmd_flatten(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, "convert")?;
     let path = opts.positionals.first().ok_or_else(usage)?;
     let out = opts.value("-o").ok_or("missing -o OUT.{bench|blif}")?;
     let (design, default) = load(path)?;

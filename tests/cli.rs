@@ -329,6 +329,37 @@ fn errors_are_reported() {
     assert!(stderr.contains("bits"), "{stderr}");
 }
 
+/// A flag the subcommand does not read is an error that names it — not
+/// a silent fallback to the default.
+#[test]
+fn unread_flags_are_rejected() {
+    let bench = write_temp("flags.bench", BENCH);
+    let dir = std::env::temp_dir().join("hfta-cli-tests/plural-emit-models");
+    let _ = std::fs::remove_dir_all(&dir);
+    // `--emit-models` belongs to `hier`/`serve`; `characterize` spells
+    // it `--emit-model`.
+    let (ok, stdout, stderr) = run(&[
+        "characterize",
+        bench.to_str().unwrap(),
+        "--emit-models",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("`--emit-models`"), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(!dir.exists());
+
+    let hnl = write_temp("flags.hnl", HNL);
+    let (ok, stdout, stderr) = run(&["hier", hnl.to_str().unwrap(), "--no-shared-solvr"]);
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("`--no-shared-solvr`"), "{stderr}");
+    // Both documented spellings of the switch are still accepted.
+    for flag in ["--no-shared-solver", "--shared-solver"] {
+        let (ok, _, stderr) = run(&["hier", hnl.to_str().unwrap(), flag]);
+        assert!(ok, "{flag}: {stderr}");
+    }
+}
+
 #[test]
 fn help_prints_usage() {
     let (ok, stdout, _) = run(&["help"]);

@@ -10,7 +10,7 @@
 use hfta::netlist::gen::{carry_skip_adder, random_circuit, GateMix, RandomCircuitSpec};
 use hfta::netlist::partition::{cascade_bipartition, cascade_bipartition_min_cut};
 use hfta::{
-    DelayAnalyzer, DemandDrivenAnalyzer, HierAnalyzer, HierOptions, ModelSource, Time, TopoSta,
+    AnalysisConfig, DelayAnalyzer, DemandDrivenAnalyzer, HierAnalyzer, ModelSource, Time, TopoSta,
 };
 
 fn t(v: i64) -> Time {
@@ -36,7 +36,8 @@ fn carry_skip_cascades_two_step() {
         let arrivals = vec![t(0); 2 * n + 1];
         let (functional, topological) = reference_delays(&flat, &arrivals);
 
-        let mut hier = HierAnalyzer::new(&design, &name, HierOptions::default()).expect("valid");
+        let mut hier =
+            HierAnalyzer::with_config(&design, &name, &AnalysisConfig::default()).expect("valid");
         let est = hier.analyze(&arrivals).expect("analyzes").delay;
         assert!(est >= functional, "{name}: {est} < flat {functional}");
         assert!(est <= topological, "{name}: {est} > topo {topological}");
@@ -54,7 +55,8 @@ fn carry_skip_cascades_demand_driven() {
         let arrivals = vec![t(0); 2 * n + 1];
         let (functional, topological) = reference_delays(&flat, &arrivals);
 
-        let mut an = DemandDrivenAnalyzer::new(&design, &name, Default::default()).expect("valid");
+        let mut an = DemandDrivenAnalyzer::with_config(&design, &name, &AnalysisConfig::default())
+            .expect("valid");
         let est = an.analyze(&arrivals).expect("analyzes").delay;
         assert!(est >= functional && est <= topological, "{name}");
         assert_eq!(est, functional, "{name}: accuracy preserved");
@@ -81,12 +83,14 @@ fn skewed_arrival_conditions() {
     ];
     for arrivals in patterns {
         let (functional, topological) = reference_delays(&flat, &arrivals);
-        let mut hier = HierAnalyzer::new(&design, "csa8.2", HierOptions::default()).expect("valid");
+        let mut hier = HierAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())
+            .expect("valid");
         let est = hier.analyze(&arrivals).expect("analyzes").delay;
         assert!(est >= functional && est <= topological, "{arrivals:?}");
 
         let mut dd =
-            DemandDrivenAnalyzer::new(&design, "csa8.2", Default::default()).expect("valid");
+            DemandDrivenAnalyzer::with_config(&design, "csa8.2", &AnalysisConfig::default())
+                .expect("valid");
         let est = dd.analyze(&arrivals).expect("analyzes").delay;
         assert!(
             est >= functional && est <= topological,
@@ -113,14 +117,16 @@ fn random_partitions_nand_heavy() {
         let design = cascade_bipartition(&flat, 0.5).expect("partitions");
         let top = format!("n{seed}_top");
 
-        let mut hier = HierAnalyzer::new(&design, &top, HierOptions::default()).expect("valid");
+        let mut hier =
+            HierAnalyzer::with_config(&design, &top, &AnalysisConfig::default()).expect("valid");
         let est = hier.analyze(&arrivals).expect("analyzes").delay;
         assert!(
             est >= functional && est <= topological,
             "two-step seed {seed}"
         );
 
-        let mut dd = DemandDrivenAnalyzer::new(&design, &top, Default::default()).expect("valid");
+        let mut dd = DemandDrivenAnalyzer::with_config(&design, &top, &AnalysisConfig::default())
+            .expect("valid");
         let est_dd = dd.analyze(&arrivals).expect("analyzes").delay;
         assert!(
             est_dd >= functional && est_dd <= topological,
@@ -145,7 +151,8 @@ fn random_partitions_xor_heavy_min_cut() {
         let (functional, topological) = reference_delays(&flat, &arrivals);
         let design = cascade_bipartition_min_cut(&flat, 0.3, 0.7).expect("partitions");
         let top = format!("x{seed}_top");
-        let mut dd = DemandDrivenAnalyzer::new(&design, &top, Default::default()).expect("valid");
+        let mut dd = DemandDrivenAnalyzer::with_config(&design, &top, &AnalysisConfig::default())
+            .expect("valid");
         let est = dd.analyze(&arrivals).expect("analyzes").delay;
         assert!(est >= functional && est <= topological, "seed {seed}");
         // XOR-heavy logic: the hierarchical estimate stays close.
@@ -176,14 +183,14 @@ fn functional_models_dominate_topological_models() {
         let arrivals = vec![t(0); flat.inputs().len()];
 
         let mut functional =
-            HierAnalyzer::new(&design, &top, HierOptions::default()).expect("valid");
+            HierAnalyzer::with_config(&design, &top, &AnalysisConfig::default()).expect("valid");
         let f = functional.analyze(&arrivals).expect("analyzes").delay;
 
-        let topo_opts = HierOptions {
+        let topo_opts = AnalysisConfig {
             source: ModelSource::Topological,
-            ..HierOptions::default()
+            ..AnalysisConfig::default()
         };
-        let mut topological = HierAnalyzer::new(&design, &top, topo_opts).expect("valid");
+        let mut topological = HierAnalyzer::with_config(&design, &top, &topo_opts).expect("valid");
         let tpo = topological.analyze(&arrivals).expect("analyzes").delay;
         assert!(f <= tpo, "seed {seed}: functional {f} vs topological {tpo}");
     }
