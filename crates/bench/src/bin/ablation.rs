@@ -348,11 +348,13 @@ fn bench_cone_sig(harness: &mut Harness, trace: &TraceSink) {
 /// learnt clauses across cones (and, in demand mode, across isomorphic
 /// cone classes via slot-permuted import) with between-query
 /// inprocessing. Measured on the flat XBD0 path of an ISCAS-like
-/// netlist and on demand refinement of the replicated cascade; the
-/// `trajectory_gate` asserts shared mode never regresses past the
-/// per-cone baseline.
+/// netlist — against fresh per-cone solvers and against one
+/// whole-netlist instance whose solves are not confined to a domain —
+/// and on demand refinement of the replicated cascade; the
+/// `trajectory_gate` asserts shared mode never regresses past either
+/// baseline.
 fn bench_shared_solver(harness: &mut Harness) {
-    use hfta_fta::DelayAnalyzer;
+    use hfta_fta::{DelayAnalyzer, SatAlg};
 
     let mut group = harness.group("ablation_shared_solver");
     use hfta_netlist::gen::{random_circuit, RandomCircuitSpec};
@@ -368,7 +370,7 @@ fn bench_shared_solver(harness: &mut Harness) {
     let arr = vec![Time::ZERO; flat.inputs().len()];
     // One reference answer so both cases can assert bit-identity.
     let expected = {
-        let mut an = DelayAnalyzer::new_sat_shared(&flat, &arr).expect("valid");
+        let mut an = DelayAnalyzer::new_sat(&flat, &arr).expect("valid");
         an.circuit_delay()
     };
     // The per-cone baseline the shared instance replaces: a fresh
@@ -379,14 +381,23 @@ fn bench_shared_solver(harness: &mut Harness) {
         for &o in flat.outputs() {
             let (cone, _pis) = flat.cone(o);
             let cone_arr = vec![Time::ZERO; cone.inputs().len()];
-            let mut an = DelayAnalyzer::new_sat(&cone, &cone_arr).expect("valid");
+            let mut an = DelayAnalyzer::new(&cone, &cone_arr, SatAlg::new()).expect("valid");
             worst = worst.max(an.circuit_delay());
         }
         assert_eq!(worst, expected, "per-cone delay diverges from shared");
         worst
     });
+    // One instance over the whole netlist, but every solve unconfined:
+    // each probe's propagation and decisions roam all the logic earlier
+    // probes encoded.
+    group.bench_at_least("flat_xbd0_isolated", 3, || {
+        let mut an = DelayAnalyzer::new(&flat, &arr, SatAlg::new()).expect("valid");
+        let d = an.circuit_delay();
+        assert_eq!(d, expected, "isolated delay diverges from shared");
+        d
+    });
     group.bench_at_least("flat_xbd0_shared", 3, || {
-        let mut an = DelayAnalyzer::new_sat_shared(&flat, &arr).expect("valid");
+        let mut an = DelayAnalyzer::new_sat(&flat, &arr).expect("valid");
         let d = an.circuit_delay();
         assert_eq!(d, expected, "shared delay is not reproducible");
         d

@@ -23,6 +23,10 @@
 //!   `ablation_shared_solver/demand_cascade_per_cone` (the shared
 //!   module-level SAT instance must not regress past fresh per-cone
 //!   solvers)
+//! * `ablation_shared_solver/flat_xbd0_shared` vs
+//!   `ablation_shared_solver/flat_xbd0_isolated` (domain-confined
+//!   solves must not regress past unconfined solves on the same
+//!   whole-netlist instance)
 //! * `serve_load/concurrent_4conn` vs `serve_load/serial_1conn` (four
 //!   concurrent unix-socket clients replay the same transcript as one
 //!   pipelined connection; the multiplexing machinery must not make
@@ -40,7 +44,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-const GATES: [(&str, &str, &str); 8] = [
+const GATES: [(&str, &str, &str); 9] = [
     (
         "serve_load",
         "serve_load/concurrent_4conn",
@@ -50,6 +54,11 @@ const GATES: [(&str, &str, &str); 8] = [
         "ablation",
         "ablation_shared_solver/flat_xbd0_shared",
         "ablation_shared_solver/flat_xbd0_per_cone",
+    ),
+    (
+        "ablation",
+        "ablation_shared_solver/flat_xbd0_shared",
+        "ablation_shared_solver/flat_xbd0_isolated",
     ),
     (
         "ablation",

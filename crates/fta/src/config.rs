@@ -39,6 +39,7 @@ pub fn solve_episode_fields(ep: &SolveEpisode) -> Vec<(&'static str, Value)> {
         ("learnt_clauses", ep.learnt_clauses.into()),
         ("max_learnts", ep.max_learnts.into()),
         ("budgeted", ep.budgeted.into()),
+        ("dur_ns", ep.dur_ns.into()),
     ]
 }
 

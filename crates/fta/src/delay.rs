@@ -52,29 +52,21 @@ pub struct DelayAnalyzer<'a, A: BoolAlg> {
 }
 
 impl<'a> DelayAnalyzer<'a, SatAlg> {
-    /// Convenience constructor with the default SAT backend.
+    /// Convenience constructor with the default SAT backend, which runs
+    /// in shared-solver mode ([`SatAlg::new_shared`]): every stability
+    /// probe of the netlist goes through one incremental SAT instance,
+    /// and each solve searches only the probed net's transitive-fanin
+    /// domain — it decides and propagates nothing outside it above
+    /// decision level 0 — with subsumption inprocessing between
+    /// probes. Arrivals and verdicts are bit-identical to a fresh
+    /// solver per probe; budgeted callers that need degradations to
+    /// match the isolated backend exactly pass [`SatAlg::new`] to
+    /// [`DelayAnalyzer::new`] instead.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn new_sat(netlist: &'a Netlist, pi_arrivals: &[Time]) -> Result<Self, NetlistError> {
-        DelayAnalyzer::new(netlist, pi_arrivals, SatAlg::new())
-    }
-
-    /// Like [`DelayAnalyzer::new_sat`], but the backend runs in
-    /// shared-solver mode ([`SatAlg::new_shared`]): the whole netlist's
-    /// stability probes go through one incremental SAT instance, each
-    /// query domain-restricted to the probed output's transitive fanin,
-    /// with subsumption inprocessing between queries. Arrivals and
-    /// verdicts are bit-identical to `new_sat`'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-    pub fn new_sat_shared(
-        netlist: &'a Netlist,
-        pi_arrivals: &[Time],
-    ) -> Result<Self, NetlistError> {
         DelayAnalyzer::new(netlist, pi_arrivals, SatAlg::new_shared())
     }
 }

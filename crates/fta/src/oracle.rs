@@ -61,25 +61,6 @@ impl StabilityOracle<SatAlg> {
     pub fn new_sat(netlist: Netlist, pi_arrivals: &[Time]) -> Result<Self, NetlistError> {
         StabilityOracle::new(netlist, pi_arrivals, SatAlg::new())
     }
-
-    /// Like [`StabilityOracle::new_sat`], but the backend runs in
-    /// shared-solver mode: the one growing encoding is kept and every
-    /// query is restricted to the variable domain of its transitive
-    /// support (see [`SatAlg::new_shared`]). Verdicts are
-    /// bit-identical to `new_sat`'s; queries stop paying for logic
-    /// accumulated by earlier, unrelated probes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] for cyclic
-    /// netlists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi_arrivals.len()` differs from the input count.
-    pub fn new_sat_shared(netlist: Netlist, pi_arrivals: &[Time]) -> Result<Self, NetlistError> {
-        StabilityOracle::new(netlist, pi_arrivals, SatAlg::new_shared())
-    }
 }
 
 impl<A: BoolAlg> StabilityOracle<A> {

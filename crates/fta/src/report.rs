@@ -9,7 +9,7 @@ use std::fmt;
 
 use hfta_netlist::{Netlist, NetlistError, Time};
 
-use crate::boolalg::BoolAlg;
+use crate::boolalg::{BoolAlg, SatAlg};
 use crate::config::{solve_episode_fields, AnalysisConfig};
 use crate::delay::DelayAnalyzer;
 use crate::sta::TopoSta;
@@ -86,13 +86,13 @@ impl TimingReport {
         let sta = TopoSta::new(netlist)?;
         let topo = sta.arrival_times(pi_arrivals);
         // Shared-solver mode answers every output's probes from one
-        // domain-restricted incremental instance; arrivals are
-        // bit-identical. Budgeted runs keep the plain backend so
+        // domain-confined incremental instance; arrivals are
+        // bit-identical. Budgeted runs keep the isolated backend so
         // degradations match the baseline exactly.
         let mut an = if config.shared_solver && config.budget.is_unlimited() {
-            DelayAnalyzer::new_sat_shared(netlist, pi_arrivals)?
-        } else {
             DelayAnalyzer::new_sat(netlist, pi_arrivals)?
+        } else {
+            DelayAnalyzer::new(netlist, pi_arrivals, SatAlg::new())?
         };
         an.set_budget(config.budget);
         if tracer.is_enabled() {
@@ -334,6 +334,14 @@ mod tests {
         assert!(names.contains(&"timing_report"));
         assert!(names.contains(&"output_arrival"));
         assert!(names.contains(&"sat_episode"));
+        // Every SAT episode carries its wall-clock time.
+        for rec in trace.records().iter().filter(|r| r.name == "sat_episode") {
+            assert!(
+                rec.fields.iter().any(|(k, _)| *k == "dur_ns"),
+                "sat_episode without dur_ns: {:?}",
+                rec.fields
+            );
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl SharedStabilityEngine {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic cones.
     pub fn new(cone: Netlist, cone_out: NetId, key: ConeKey) -> Result<Self, NetlistError> {
         let zeros = vec![Time::ZERO; cone.inputs().len()];
-        let oracle = StabilityOracle::new_sat_shared(cone, &zeros)?;
+        let oracle = StabilityOracle::new(cone, &zeros, SatAlg::new_shared())?;
         Ok(SharedStabilityEngine {
             oracle,
             key,

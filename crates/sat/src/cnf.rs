@@ -1,4 +1,4 @@
-use crate::{BudgetedSatResult, Domain, Lit, SatResult, SolveBudget, Solver, Var};
+use crate::{BudgetedSatResult, Domain, Lit, SatResult, SolveBudget, Solver, Var, VarSet};
 
 /// Incremental Tseitin-style CNF construction over a [`Solver`].
 ///
@@ -32,10 +32,6 @@ pub struct CnfBuilder {
     /// leaves (inputs, constants).
     dep_span: Vec<(u32, u32)>,
     dep_arena: Vec<Var>,
-    /// Stamp-based visited marks for `domain_of`'s DFS (reused across
-    /// calls without clearing).
-    visit_stamp: Vec<u32>,
-    stamp: u32,
     /// Set when a non-definitional constraint (`add_clause`,
     /// `assert_lit`, `emit_equal`, `emit_implies`) was added while
     /// tracking — such constraints void the domain soundness contract.
@@ -103,30 +99,22 @@ impl CnfBuilder {
             !self.non_definitional,
             "non-definitional constraints void the domain soundness contract"
         );
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.visit_stamp.iter_mut().for_each(|s| *s = 0);
-            self.stamp = 1;
-        }
-        if self.visit_stamp.len() < self.solver.num_vars() {
-            self.visit_stamp.resize(self.solver.num_vars(), 0);
-        }
+        // The DFS's visited set is the domain's own membership set.
+        let mut set = VarSet::new();
         let mut vars: Vec<Var> = Vec::new();
         let mut stack: Vec<Var> = roots.iter().map(|l| l.var()).collect();
         if let Some(t) = self.const_true {
             stack.push(t.var());
         }
         while let Some(v) = stack.pop() {
-            let vi = v.index();
-            if self.visit_stamp[vi] == self.stamp {
+            if !set.insert(v) {
                 continue;
             }
-            self.visit_stamp[vi] = self.stamp;
             vars.push(v);
-            let (start, len) = self.dep_span.get(vi).copied().unwrap_or((0, 0));
+            let (start, len) = self.dep_span.get(v.index()).copied().unwrap_or((0, 0));
             stack.extend_from_slice(&self.dep_arena[start as usize..(start + len) as usize]);
         }
-        Domain::from_vars(vars)
+        Domain::from_parts(vars, set)
     }
 
     /// Allocates a fresh variable.

@@ -2,38 +2,63 @@
 //!
 //! HFTA's shared-solver mode encodes an entire module into one
 //! incremental SAT instance and answers each per-cone stability query
-//! restricted to the variable domain of that cone's transitive fanin:
-//! the search runs exactly as an unrestricted solve would, but may
-//! *stop early* — the moment every domain variable is assigned at a
-//! conflict-free propagation fixpoint (with every assumption
-//! enqueued), the query is declared `Sat` without extending the
-//! assignment over the rest of the module. A [`Domain`] is that
-//! active-variable set: a flat, deduplicated list of variables
-//! (cache-friendly to walk) plus a bitset for O(1) membership tests.
+//! inside the variable domain of that cone's transitive fanin. A
+//! [`Domain`] is that active-variable set: a flat, deduplicated list of
+//! variables (cache-friendly to walk) plus a bitset for O(1) membership
+//! tests.
+//!
+//! # What a domain solve does
+//!
+//! [`Solver::solve_domain`](crate::Solver::solve_domain) confines the
+//! search to the domain `D` above decision level 0:
+//!
+//! * **Restricted decisions.** An out-of-domain variable is never
+//!   decided: decisions come from a heap built at solve entry from the
+//!   domain's unassigned variables, ordered by the same VSIDS
+//!   activities. The main decision heap is left untouched for later
+//!   unrestricted solves.
+//! * **Restricted propagation.** A clause that becomes unit on an
+//!   out-of-domain literal is left alone — the literal is not enqueued
+//!   and the watcher does not move. Every other literal of the clause
+//!   is false at the current level or below, so backtracking past it
+//!   (at the latest, the return to level 0 that ends every solve)
+//!   restores the two-watch invariant.
+//! * **The level-0 exception.** Propagation at decision level 0 is
+//!   never restricted. A unit learnt under a narrow domain therefore
+//!   reaches every clause it touches at once, and the watch invariant
+//!   holds at level 0 for the next query, whatever its domain.
+//! * **The `Sat` test.** With every assumption enqueued, the query is
+//!   `Sat` once every variable of `D` is assigned at a conflict-free
+//!   propagation fixpoint. The model assigns all of `D`; variables
+//!   outside it may be left unassigned.
 //!
 //! # Soundness contract
 //!
-//! The early exit is sound *and* complete for formulas that are
-//! **definitional extensions** over a domain `D`:
+//! A domain solve gives the same verdict as an unrestricted solve for
+//! formulas that are **definitional extensions** over `D`:
 //!
 //! * `D` is *definition-closed*: for every non-input variable in `D`,
 //!   the variables of its defining (Tseitin) clauses are also in `D`.
+//!   Call those in-domain definitions `F_D`.
 //! * Every clause not fully contained in `D` is either part of the
 //!   gate definition of a variable outside `D`, or implied by the
-//!   formula (e.g. a learnt clause).
+//!   formula (e.g. a learnt clause or a level-0 unit).
 //!
-//! Under that contract, a conflict-free fixpoint that assigns all of
-//! `D` extends to a total model even when out-of-domain variables sit
-//! (decided or propagated) on the trail: keep the trail's values on
-//! `D`'s inputs, assign the remaining free inputs arbitrarily, and
-//! evaluate every defined variable from its definition in topological
-//! order. The rebuilt model agrees with the trail on `D` by induction
-//! over `D`'s definitions, satisfies every gate-definition clause by
-//! construction, and satisfies every learnt clause because learnt
-//! clauses are implied. An `Unsat` answer is exact without any
-//! argument, because the full formula is a conservative extension of
-//! the in-domain sub-formula. See `DESIGN.md` ("Why domain-restricted
-//! sharing is sound").
+//! *`Sat` is exact.* At the `Sat` point every variable of `D` is
+//! assigned and no clause of `F_D` is false: all its literals are in
+//! `D` and assigned, and a clause with only in-domain literals is never
+//! skipped, so it would have been found conflicting. Every model of
+//! `F_D` extends to a model of the whole formula `F`: keep its values
+//! on `D`'s inputs, assign the remaining inputs arbitrarily, and
+//! evaluate each defined variable outside `D` from its definition in
+//! topological order. The extension satisfies every gate definition by
+//! construction and every learnt clause because learnt clauses are
+//! implied by the definitions alone. *`Unsat` is exact* because every
+//! conflict is a real clause of the formula falsified by the trail, and
+//! conflict analysis only resolves real reason clauses: each learnt
+//! clause, and so the refutation, follows from `F` and the assumptions.
+//! Restriction only withholds assignments; it never invents one. See
+//! `DESIGN.md` ("Why domain-restricted sharing is sound").
 //!
 //! [`crate::CnfBuilder::domain_of`] constructs domains satisfying the
 //! contract for formulas built purely from its gate primitives.
@@ -100,6 +125,13 @@ impl Domain {
             }
         }
         Domain { vars: uniq, set }
+    }
+
+    /// A domain from a duplicate-free variable list and the set of
+    /// exactly those variables.
+    pub(crate) fn from_parts(vars: Vec<Var>, set: VarSet) -> Domain {
+        debug_assert!(vars.iter().all(|&v| set.contains(v)));
+        Domain { vars, set }
     }
 
     /// The domain's variables, deduplicated, in insertion order.

@@ -6,11 +6,22 @@
 //! encoded to CNF and handed to [`Solver`]. The solver is a
 //! self-contained conflict-driven clause-learning implementation:
 //!
-//! * two-literal watching for unit propagation,
-//! * first-UIP conflict analysis with recursive clause minimization,
+//! * all clauses in one flat `u32` arena (header, learnt activity,
+//!   literals), compacted in place once deleted clauses hold a fifth
+//!   of it,
+//! * two-literal watching for unit propagation, with problem binary
+//!   clauses as implication entries that carry the implied literal,
+//! * first-UIP conflict analysis with clause minimization, allocation
+//!   free (reasons are read in place from the arena),
 //! * exponential VSIDS decision heuristic with phase saving,
 //! * Luby restarts and learnt-clause database reduction,
-//! * incremental solving under assumptions ([`Solver::solve_with`]).
+//! * incremental solving under assumptions ([`Solver::solve_with`]),
+//! * domain-confined solving ([`Solver::solve_domain`]): above decision
+//!   level 0 the search decides and propagates only the variables of a
+//!   definition-closed [`Domain`], so one shared instance answers each
+//!   query at the cost of its own cone,
+//! * between-query inprocessing of the learnt clauses
+//!   ([`Solver::inprocess`]).
 //!
 //! [`CnfBuilder`] provides Tseitin-style encodings of the gate
 //! primitives used by the timing engine, and [`dimacs`] reads/writes the

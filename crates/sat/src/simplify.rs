@@ -16,7 +16,8 @@
 //!   one removal per clause per pass, because two removals justified
 //!   against the *original* clause need not be jointly sound).
 //!
-//! The pass works over a flat literal arena with per-literal
+//! The pass copies the learnt clauses (walked in creation order) out
+//! of the solver's clause arena into a flat literal arena with per-literal
 //! occurrence lists and 64-bit variable signatures (a subset test
 //! prefilter that is sign-insensitive, so it also covers the flipped
 //! literal of self-subsuming resolution). Original (problem) clauses
@@ -27,15 +28,15 @@
 //! [`SolverStats::clauses_subsumed`](crate::SolverStats) and
 //! [`SolverStats::clauses_strengthened`](crate::SolverStats).
 
-use crate::solver::{LBool, Solver};
+use crate::solver::{CRef, LBool, Solver};
 use crate::{Lit, Var};
 
 /// One learnt clause's slice of the flat arena.
 struct Entry {
     start: usize,
     len: usize,
-    /// Index into `Solver::clauses`.
-    cidx: u32,
+    /// The clause in the solver's arena.
+    cref: CRef,
     /// OR of `1 << (var % 64)` over the literals: `C ⊆ D` implies
     /// `sig(C) & !sig(D) == 0`. Variable-based, so the test also
     /// prefilters the one-flipped-literal case.
@@ -87,28 +88,24 @@ impl Solver {
         // deleted outright; level-0-false literals are stripped.
         let mut arena: Vec<Lit> = Vec::new();
         let mut entries: Vec<Entry> = Vec::new();
-        for cidx in 0..self.clauses.len() {
-            let c = &self.clauses[cidx];
-            if !c.learnt || c.deleted || c.lits.len() < 2 {
+        for li in 0..self.learnts.len() {
+            let c = self.learnts[li];
+            if self.ca.is_deleted(c) {
                 continue;
             }
-            let locked = c.lits.iter().take(2).any(|l| {
-                let v = l.var().index();
-                self.reason[v] == Some(cidx as u32) && self.assign[v] != LBool::Undef
-            });
+            let locked = (0..2).any(|k| self.reason_of(self.ca.lit(c, k).var()) == Some(c));
             if locked {
                 continue;
             }
-            if c.lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
-                self.clauses[cidx].deleted = true;
-                self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+            if self.ca.lits(c).any(|l| self.lit_value(l) == LBool::True) {
+                self.delete_learnt(c);
                 subsumed += 1;
                 continue;
             }
             let start = arena.len();
             let mut sig = 0u64;
             let mut stripped = false;
-            for &l in &c.lits {
+            for l in self.ca.lits(c) {
                 if self.lit_value(l) == LBool::False {
                     stripped = true;
                 } else {
@@ -119,7 +116,7 @@ impl Solver {
             entries.push(Entry {
                 start,
                 len: arena.len() - start,
-                cidx: u32::try_from(cidx).expect("clause count overflow"),
+                cref: c,
                 sig,
                 dead: false,
                 remove: None,
@@ -199,10 +196,8 @@ impl Solver {
         // propagation for any strengthened-to-unit clause.
         let mut units: Vec<Lit> = Vec::new();
         for e in &entries {
-            let cidx = e.cidx as usize;
             if e.dead {
-                self.clauses[cidx].deleted = true;
-                self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+                self.delete_learnt(e.cref);
                 subsumed += 1;
                 continue;
             }
@@ -214,14 +209,13 @@ impl Solver {
                 .copied()
                 .filter(|&l| Some(l) != e.remove)
                 .collect();
-            self.clauses[cidx].deleted = true;
-            self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+            self.delete_learnt(e.cref);
             strengthened += 1;
             match new_lits.len() {
                 0 => self.ok = false,
                 1 => units.push(new_lits[0]),
                 _ => {
-                    self.attach_clause(new_lits, true);
+                    self.attach_clause(&new_lits, true);
                 }
             }
         }
@@ -237,6 +231,9 @@ impl Solver {
         if self.ok && self.propagate().is_some() {
             self.ok = false;
         }
+        let ca = &self.ca;
+        self.learnts.retain(|&c| !ca.is_deleted(c));
+        self.collect_garbage();
         self.stats.clauses_subsumed += subsumed;
         self.stats.clauses_strengthened += strengthened;
         (subsumed, strengthened)
@@ -260,7 +257,7 @@ mod tests {
     /// Force-learn a clause by attaching it as learnt directly
     /// (`attach_clause` maintains the learnt counter).
     fn learn(solver: &mut Solver, codes: &[i32]) {
-        solver.attach_clause(lits(codes), true);
+        solver.attach_clause(&lits(codes), true);
     }
 
     #[test]

@@ -238,6 +238,9 @@ pub struct SolveEpisode {
     pub max_learnts: u64,
     /// Whether the call ran under a [`SolveBudget`].
     pub budgeted: bool,
+    /// Wall-clock time of this call in nanoseconds. The clock is read
+    /// only while episode recording is on.
+    pub dur_ns: u64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -247,17 +250,130 @@ pub(crate) enum LBool {
     Undef,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct Clause {
-    pub(crate) lits: Vec<Lit>,
-    pub(crate) learnt: bool,
-    pub(crate) activity: f64,
-    pub(crate) deleted: bool,
+/// A clause reference: the offset of the clause's header in the
+/// [`ClauseArena`].
+pub(crate) type CRef = u32;
+
+/// The reason of a decision, an assumption or a level-0 unit.
+const NO_REASON: CRef = CRef::MAX;
+
+const LEARNT: u32 = 1;
+const DELETED: u32 = 2;
+
+/// All clauses of a solver in one flat `u32` arena. A clause is a
+/// header word (`len << 2 | deleted << 1 | learnt`), then — for learnt
+/// clauses only — its activity (the bits of an `f32`), then its literal
+/// codes. Clauses are appended in creation order and never move except
+/// during [`Solver::collect_garbage`], which compacts the arena in
+/// order.
+#[derive(Debug, Default)]
+pub(crate) struct ClauseArena {
+    words: Vec<u32>,
+    /// Words held by deleted clauses, reclaimed by the next compaction.
+    wasted: usize,
 }
 
+impl ClauseArena {
+    fn alloc(&mut self, lits: &[Lit], learnt: bool) -> CRef {
+        let c = CRef::try_from(self.words.len())
+            .ok()
+            .filter(|&c| c & BINARY == 0)
+            .expect("clause arena overflow");
+        let len = u32::try_from(lits.len()).expect("clause length overflow");
+        if learnt {
+            self.words.push(len << 2 | LEARNT);
+            self.words.push(0f32.to_bits());
+        } else {
+            self.words.push(len << 2);
+        }
+        self.words.extend(lits.iter().map(|l| l.0));
+        c
+    }
+
+    fn len(&self, c: CRef) -> usize {
+        (self.words[c as usize] >> 2) as usize
+    }
+
+    /// Offset of clause `c`'s first literal.
+    fn base(&self, c: CRef) -> usize {
+        c as usize + 1 + (self.words[c as usize] & LEARNT) as usize
+    }
+
+    /// Words clause `c` occupies, header included.
+    fn size(&self, c: CRef) -> usize {
+        self.base(c) - c as usize + self.len(c)
+    }
+
+    fn is_learnt(&self, c: CRef) -> bool {
+        self.words[c as usize] & LEARNT != 0
+    }
+
+    pub(crate) fn is_deleted(&self, c: CRef) -> bool {
+        self.words[c as usize] & DELETED != 0
+    }
+
+    fn delete(&mut self, c: CRef) {
+        debug_assert!(!self.is_deleted(c));
+        self.words[c as usize] |= DELETED;
+        self.wasted += self.size(c);
+    }
+
+    fn activity(&self, c: CRef) -> f32 {
+        debug_assert!(self.is_learnt(c));
+        f32::from_bits(self.words[c as usize + 1])
+    }
+
+    fn set_activity(&mut self, c: CRef, a: f32) {
+        debug_assert!(self.is_learnt(c));
+        self.words[c as usize + 1] = a.to_bits();
+    }
+
+    /// The `k`-th literal of clause `c`.
+    pub(crate) fn lit(&self, c: CRef, k: usize) -> Lit {
+        Lit(self.words[self.base(c) + k])
+    }
+
+    /// The literals of clause `c`.
+    pub(crate) fn lits(&self, c: CRef) -> impl Iterator<Item = Lit> + '_ {
+        let start = self.base(c);
+        self.words[start..start + self.len(c)]
+            .iter()
+            .map(|&w| Lit(w))
+    }
+
+    fn swap_lits(&mut self, c: CRef, a: usize, b: usize) {
+        let base = self.base(c);
+        self.words.swap(base + a, base + b);
+    }
+
+    /// Every clause reference, in creation order (deleted ones too).
+    fn refs(&self) -> impl Iterator<Item = CRef> + '_ {
+        let mut c = 0usize;
+        std::iter::from_fn(move || {
+            (c < self.words.len()).then(|| {
+                let r = CRef::try_from(c).expect("arena offsets fit a clause reference");
+                c += self.size(r);
+                r
+            })
+        })
+    }
+}
+
+/// Tag bit on [`Watcher::clause`] marking a problem binary clause.
+const BINARY: u32 = 1 << 31;
+
+/// One entry of a literal's watch list (indexed by the code of the
+/// literal whose truth falsifies the watched literal).
+///
+/// For a clause of three or more literals, and for a learnt binary
+/// clause, `blocker` is some other literal of the clause, checked first
+/// so a satisfied clause is skipped without touching the arena. A
+/// problem binary clause `(¬p ∨ q)` instead sits in `p`'s list as an
+/// implication entry: `clause` carries the [`BINARY`] tag and `blocker`
+/// is the implied literal `q`, so propagating it never reads the arena.
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
-    clause: u32,
+    clause: CRef,
     blocker: Lit,
 }
 
@@ -269,11 +385,19 @@ struct Watcher {
 /// workhorse of repeated stability queries in the timing engine.
 #[derive(Debug)]
 pub struct Solver {
-    pub(crate) clauses: Vec<Clause>,
+    pub(crate) ca: ClauseArena,
+    /// Learnt clauses in creation order; `reduce_db` and inprocessing
+    /// walk this list, and drop deleted entries as they go.
+    pub(crate) learnts: Vec<CRef>,
+    /// Watch lists (with the implication entries of problem binary
+    /// clauses), indexed by the code of the literal whose truth
+    /// falsifies the watched literal.
     watches: Vec<Vec<Watcher>>,
-    pub(crate) assign: Vec<LBool>,
+    assign: Vec<LBool>,
     phase: Vec<bool>,
-    pub(crate) reason: Vec<Option<u32>>,
+    /// Reason clause per variable, `NO_REASON` when unassigned, decided
+    /// or a level-0 unit without a clause.
+    reason: Vec<CRef>,
     level: Vec<u32>,
     trail: Vec<Lit>,
     pub(crate) trail_lim: Vec<usize>,
@@ -283,6 +407,9 @@ pub struct Solver {
     cla_inc: f64,
     heap: VarHeap,
     seen: Vec<bool>,
+    /// Scratch buffers reused by every conflict analysis.
+    learnt_buf: Vec<Lit>,
+    analyze_clear: Vec<Lit>,
     pub(crate) ok: bool,
     model: Vec<LBool>,
     pub(crate) stats: SolverStats,
@@ -295,16 +422,19 @@ pub struct Solver {
     /// query.
     domain_mark: Vec<u32>,
     domain_stamp: u32,
-    /// Whether the current solve has an active domain. A domain solve
-    /// runs the *same* search as an unrestricted one — same decisions,
-    /// same conflicts — but may stop early: the moment every domain
-    /// variable is assigned at a conflict-free propagation fixpoint,
-    /// the query is `Sat` (see [`Domain`] for why that is exact).
+    /// Whether the current solve is confined to a domain: above
+    /// decision level 0 it neither decides nor propagates a variable
+    /// outside the domain (see [`Domain`] for why that is exact).
     domain_active: bool,
     /// How many domain variables are still unassigned; maintained by
     /// `unchecked_enqueue`/`cancel_until` while `domain_active`, so the
-    /// early-`Sat` test is O(1) per decision.
+    /// `Sat` test is O(1) per decision.
     domain_unassigned: usize,
+    /// Decision heap of the current domain solve, holding only domain
+    /// variables. The main heap is not popped while a domain is
+    /// active, so it still holds every unassigned variable when the
+    /// solve ends.
+    domain_heap: VarHeap,
 }
 
 impl Solver {
@@ -312,7 +442,8 @@ impl Solver {
     #[must_use]
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            ca: ClauseArena::default(),
+            learnts: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
             phase: Vec::new(),
@@ -326,6 +457,8 @@ impl Solver {
             cla_inc: 1.0,
             heap: VarHeap::default(),
             seen: Vec::new(),
+            learnt_buf: Vec::new(),
+            analyze_clear: Vec::new(),
             ok: true,
             model: Vec::new(),
             stats: SolverStats::default(),
@@ -337,6 +470,7 @@ impl Solver {
             domain_stamp: 0,
             domain_active: false,
             domain_unassigned: 0,
+            domain_heap: VarHeap::default(),
         }
     }
 
@@ -345,10 +479,11 @@ impl Solver {
         let v = Var::from_index(self.assign.len());
         self.assign.push(LBool::Undef);
         self.phase.push(false);
-        self.reason.push(None);
+        self.reason.push(NO_REASON);
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
+        self.domain_mark.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap.insert(v, &self.activity);
@@ -364,7 +499,7 @@ impl Solver {
     /// Number of clauses (problem + learnt, excluding deleted).
     #[must_use]
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.ca.refs().filter(|&c| !self.ca.is_deleted(c)).count()
     }
 
     /// Work counters.
@@ -385,7 +520,16 @@ impl Solver {
         std::mem::take(&mut self.episodes)
     }
 
-    fn record_episode(&mut self, before: SolverStats, outcome: &'static str, budgeted: bool) {
+    fn record_episode(
+        &mut self,
+        before: SolverStats,
+        started: Option<Instant>,
+        outcome: &'static str,
+        budgeted: bool,
+    ) {
+        let Some(started) = started else {
+            return;
+        };
         self.episodes.push(SolveEpisode {
             outcome,
             decisions: self.stats.decisions - before.decisions,
@@ -395,6 +539,7 @@ impl Solver {
             learnt_clauses: self.stats.learnt_clauses,
             max_learnts: self.stats.max_learnts,
             budgeted,
+            dur_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
         });
     }
 
@@ -446,34 +591,52 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach_clause(filtered, false);
+                self.attach_clause(&filtered, false);
             }
         }
     }
 
-    pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    /// Stores a clause of two or more literals and watches it on its
+    /// first two literals (problem binary clauses as implication
+    /// entries, see [`Watcher`]).
+    pub(crate) fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> CRef {
         debug_assert!(lits.len() >= 2);
-        let idx = u32::try_from(self.clauses.len()).expect("clause count overflow");
-        let w0 = Watcher {
-            clause: idx,
-            blocker: lits[1],
-        };
-        let w1 = Watcher {
-            clause: idx,
-            blocker: lits[0],
-        };
-        self.watches[(!lits[0]).code()].push(w0);
-        self.watches[(!lits[1]).code()].push(w1);
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            activity: 0.0,
-            deleted: false,
-        });
+        let c = self.ca.alloc(lits, learnt);
         if learnt {
+            self.learnts.push(c);
             self.stats.learnt_clauses += 1;
         }
-        idx
+        let tag = if !learnt && lits.len() == 2 {
+            BINARY
+        } else {
+            0
+        };
+        self.watches[(!lits[0]).code()].push(Watcher {
+            clause: c | tag,
+            blocker: lits[1],
+        });
+        self.watches[(!lits[1]).code()].push(Watcher {
+            clause: c | tag,
+            blocker: lits[0],
+        });
+        c
+    }
+
+    /// Deletes a learnt clause (its watchers are purged lazily).
+    pub(crate) fn delete_learnt(&mut self, c: CRef) {
+        self.ca.delete(c);
+        self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+    }
+
+    /// The reason clause of variable `v`'s current assignment, if any.
+    pub(crate) fn reason_of(&self, v: Var) -> Option<CRef> {
+        let r = self.reason[v.index()];
+        (r != NO_REASON && self.assign[v.index()] != LBool::Undef).then_some(r)
+    }
+
+    /// Whether clause `c` is the reason of a current assignment.
+    pub(crate) fn is_locked(&self, c: CRef) -> bool {
+        self.reason_of(self.ca.lit(c, 0).var()) == Some(c)
     }
 
     pub(crate) fn lit_value(&self, l: Lit) -> LBool {
@@ -500,7 +663,7 @@ impl Solver {
         u32::try_from(self.trail_lim.len()).expect("level overflow")
     }
 
-    pub(crate) fn unchecked_enqueue(&mut self, l: Lit, from: Option<u32>) {
+    pub(crate) fn unchecked_enqueue(&mut self, l: Lit, from: Option<CRef>) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
         let v = l.var().index();
         self.assign[v] = if l.is_positive() {
@@ -509,76 +672,105 @@ impl Solver {
             LBool::False
         };
         self.phase[v] = l.is_positive();
-        self.reason[v] = from;
+        self.reason[v] = from.unwrap_or(NO_REASON);
         self.level[v] = self.decision_level();
         if self.domain_active && self.in_domain(l.var()) {
-            // Units learnt after the solve (while the encoding grows)
-            // can decrement a stale counter; saturate — `enter_mode`
-            // recounts at the next domain solve.
-            self.domain_unassigned = self.domain_unassigned.saturating_sub(1);
+            self.domain_unassigned -= 1;
         }
         self.trail.push(l);
     }
 
-    /// Unit propagation; returns the index of a conflicting clause.
-    pub(crate) fn propagate(&mut self) -> Option<u32> {
+    /// Unit propagation; returns the conflicting clause, if any.
+    ///
+    /// Inside a domain solve, above decision level 0, a clause that
+    /// becomes unit on an out-of-domain literal is left alone: the
+    /// literal is not enqueued and the watcher stays where it is. The
+    /// clause's other literals are all false at this level or below,
+    /// so backtracking past this level — at the latest, the return to
+    /// level 0 that ends every solve — restores the two-watch
+    /// invariant. Level-0 propagation is never restricted, so units
+    /// stay complete for every later query whatever its domain.
+    pub(crate) fn propagate(&mut self) -> Option<CRef> {
+        let restrict = self.domain_active && !self.trail_lim.is_empty();
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let mut i = 0;
-            let mut watch_list = std::mem::take(&mut self.watches[p.code()]);
+            let false_lit = !p;
+            let mut ws = std::mem::take(&mut self.watches[p.code()]);
+            let (mut i, mut j) = (0, 0);
             let mut conflict = None;
-            'watchers: while i < watch_list.len() {
-                let w = watch_list[i];
-                if self.lit_value(w.blocker) == LBool::True {
-                    i += 1;
-                    continue;
-                }
-                let cidx = w.clause as usize;
-                if self.clauses[cidx].deleted {
-                    watch_list.swap_remove(i);
-                    continue;
-                }
-                // Normalize: the false literal !p goes to position 1.
-                let false_lit = !p;
-                if self.clauses[cidx].lits[0] == false_lit {
-                    self.clauses[cidx].lits.swap(0, 1);
-                }
-                debug_assert_eq!(self.clauses[cidx].lits[1], false_lit);
-                let first = self.clauses[cidx].lits[0];
-                if first != w.blocker && self.lit_value(first) == LBool::True {
-                    watch_list[i].blocker = first;
-                    i += 1;
-                    continue;
-                }
-                // Look for a new literal to watch.
-                for k in 2..self.clauses[cidx].lits.len() {
-                    let lk = self.clauses[cidx].lits[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.clauses[cidx].lits.swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher {
-                            clause: w.clause,
-                            blocker: first,
-                        });
-                        watch_list.swap_remove(i);
-                        continue 'watchers;
-                    }
-                }
-                // No new watch: clause is unit or conflicting.
-                if self.lit_value(first) == LBool::False {
-                    conflict = Some(w.clause);
-                    self.qhead = self.trail.len();
-                    break;
-                }
-                self.unchecked_enqueue(first, Some(w.clause));
+            'watchers: while i < ws.len() {
+                let w = ws[i];
                 i += 1;
+                if self.lit_value(w.blocker) == LBool::True {
+                    ws[j] = w;
+                    j += 1;
+                    continue;
+                }
+                let (c, unit) = if w.clause & BINARY != 0 {
+                    // Implication entry: the blocker is the implied
+                    // literal.
+                    ws[j] = w;
+                    j += 1;
+                    (w.clause & !BINARY, w.blocker)
+                } else {
+                    let c = w.clause;
+                    if self.ca.is_deleted(c) {
+                        continue; // purge the watcher of a deleted clause
+                    }
+                    // Normalize: the false literal !p goes to position 1.
+                    if self.ca.lit(c, 0) == false_lit {
+                        self.ca.swap_lits(c, 0, 1);
+                    }
+                    debug_assert_eq!(self.ca.lit(c, 1), false_lit);
+                    let first = self.ca.lit(c, 0);
+                    let kept = Watcher {
+                        clause: c,
+                        blocker: first,
+                    };
+                    if first != w.blocker && self.lit_value(first) == LBool::True {
+                        ws[j] = kept;
+                        j += 1;
+                        continue;
+                    }
+                    // Look for a new literal to watch.
+                    for k in 2..self.ca.len(c) {
+                        let lk = self.ca.lit(c, k);
+                        if self.lit_value(lk) != LBool::False {
+                            self.ca.swap_lits(c, 1, k);
+                            self.watches[(!lk).code()].push(kept);
+                            continue 'watchers;
+                        }
+                    }
+                    ws[j] = kept;
+                    j += 1;
+                    (c, first)
+                };
+                // No other literal can be watched: the clause is unit
+                // on `unit`, or conflicting.
+                if self.lit_value(unit) == LBool::False {
+                    conflict = Some(c);
+                    while i < ws.len() {
+                        ws[j] = ws[i];
+                        i += 1;
+                        j += 1;
+                    }
+                } else if !restrict || self.in_domain(unit.var()) {
+                    // Conflict analysis reads a reason's asserted
+                    // literal at position 0; only an implication
+                    // entry's clause can hold it at position 1.
+                    if self.ca.lit(c, 0) != unit {
+                        self.ca.swap_lits(c, 0, 1);
+                    }
+                    self.unchecked_enqueue(unit, Some(c));
+                }
             }
-            // Put the (possibly shrunk) watch list back, preserving any
-            // watchers added to it during this propagation step.
-            let added = std::mem::replace(&mut self.watches[p.code()], watch_list);
-            self.watches[p.code()].extend(added);
+            ws.truncate(j);
+            debug_assert!(self.watches[p.code()].is_empty());
+            self.watches[p.code()] = ws;
             if conflict.is_some() {
+                self.qhead = self.trail.len();
                 return conflict;
             }
         }
@@ -593,11 +785,16 @@ impl Solver {
         for k in (lim..self.trail.len()).rev() {
             let v = self.trail[k].var();
             self.assign[v.index()] = LBool::Undef;
-            self.reason[v.index()] = None;
-            if self.domain_active && self.in_domain(v) {
+            self.reason[v.index()] = NO_REASON;
+            if self.domain_active {
+                // Above level 0 a domain solve assigns only domain
+                // variables, and the main heap still holds them.
+                debug_assert!(self.in_domain(v));
                 self.domain_unassigned += 1;
+                self.domain_heap.insert(v, &self.activity);
+            } else {
+                self.heap.insert(v, &self.activity);
             }
-            self.heap.insert(v, &self.activity);
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
@@ -605,14 +802,12 @@ impl Solver {
     }
 
     fn in_domain(&self, v: Var) -> bool {
-        self.domain_mark.get(v.index()).copied() == Some(self.domain_stamp)
+        self.domain_mark[v.index()] == self.domain_stamp
     }
 
-    /// Arms (or disarms) the early-`Sat` domain watch for the upcoming
-    /// solve: marks the domain's variables and counts how many are
-    /// still unassigned. The decision heap is untouched — a domain
-    /// solve makes exactly the decisions an unrestricted solve would,
-    /// it just gets to stop sooner.
+    /// Confines the upcoming solve to `domain` (or lifts the
+    /// confinement for `None`): marks the domain's variables, counts
+    /// how many are still unassigned and heaps those for decisions.
     fn enter_mode(&mut self, domain: Option<&Domain>) {
         match domain {
             Some(d) => {
@@ -624,24 +819,32 @@ impl Solver {
                     self.domain_mark.iter_mut().for_each(|m| *m = 0);
                     self.domain_stamp = 1;
                 }
-                if self.domain_mark.len() < self.num_vars() {
-                    self.domain_mark.resize(self.num_vars(), 0);
-                }
-                let mut unassigned = 0usize;
                 for &v in d.vars() {
                     debug_assert!(v.index() < self.num_vars(), "domain var unallocated");
                     self.domain_mark[v.index()] = self.domain_stamp;
-                    if self.assign[v.index()] == LBool::Undef {
-                        unassigned += 1;
-                    }
                 }
-                self.domain_unassigned = unassigned;
+                let assign = &self.assign;
+                self.domain_heap.rebuild(
+                    d.vars()
+                        .iter()
+                        .copied()
+                        .filter(|v| assign[v.index()] == LBool::Undef),
+                    &self.activity,
+                );
+                self.domain_unassigned = self.domain_heap.len();
                 self.domain_active = true;
             }
             None => {
                 self.domain_active = false;
             }
         }
+    }
+
+    /// Ends a solve's domain confinement (the solver is back at level
+    /// 0).
+    fn exit_mode(&mut self) {
+        self.domain_active = false;
+        self.domain_heap.clear();
     }
 
     fn var_bump(&mut self, v: Var) {
@@ -653,37 +856,41 @@ impl Solver {
             self.var_inc *= 1e-100;
         }
         self.heap.update(v, &self.activity);
+        self.domain_heap.update(v, &self.activity);
     }
 
-    fn cla_bump(&mut self, c: u32) {
-        let cl = &mut self.clauses[c as usize];
-        cl.activity += self.cla_inc;
-        if cl.activity > 1e20 {
-            let scale = 1e-20;
-            for cl in &mut self.clauses {
-                cl.activity *= scale;
+    fn cla_bump(&mut self, c: CRef) {
+        let a = f64::from(self.ca.activity(c)) + self.cla_inc;
+        #[allow(clippy::cast_possible_truncation)] // activities are f32 by design
+        self.ca.set_activity(c, a as f32);
+        if a > 1e20 {
+            for &l in &self.learnts {
+                #[allow(clippy::cast_possible_truncation)]
+                self.ca
+                    .set_activity(l, (f64::from(self.ca.activity(l)) * 1e-20) as f32);
             }
-            self.cla_inc *= scale;
+            self.cla_inc *= 1e-20;
         }
     }
 
     /// First-UIP conflict analysis.
     ///
-    /// Returns the learnt clause (asserting literal first) and the
-    /// backjump level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for UIP
+    /// Leaves the learnt clause (asserting literal first) in
+    /// `learnt_buf` and returns the backjump level.
+    fn analyze(&mut self, mut confl: CRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit(0)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let current = self.decision_level();
         loop {
-            if self.clauses[confl as usize].learnt {
+            if self.ca.is_learnt(confl) {
                 self.cla_bump(confl);
             }
-            let lits = self.clauses[confl as usize].lits.clone();
-            let start = usize::from(p.is_some());
-            for &q in &lits[start..] {
+            for k in usize::from(p.is_some())..self.ca.len(confl) {
+                let q = self.ca.lit(confl, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -705,38 +912,33 @@ impl Solver {
             let pl = self.trail[index];
             self.seen[pl.var().index()] = false;
             counter -= 1;
+            p = Some(pl);
             if counter == 0 {
-                p = Some(pl);
                 break;
             }
-            p = Some(pl);
-            confl = self.reason[pl.var().index()].expect("non-decision has a reason");
+            confl = self.reason[pl.var().index()];
+            debug_assert_ne!(confl, NO_REASON, "non-decision has a reason");
         }
         learnt[0] = !p.expect("UIP found");
 
         // Conflict-clause minimization: drop literals implied by the
-        // rest of the clause (single-step self-subsumption).
-        let keep: Vec<bool> = learnt
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| i == 0 || !self.lit_redundant(l))
-            .collect();
-        let mut minimized = Vec::with_capacity(learnt.len());
-        for (i, &l) in learnt.iter().enumerate() {
-            if keep[i] {
-                minimized.push(l);
+        // rest of the clause (single-step self-subsumption). Every
+        // literal stays `seen` until all are judged.
+        let mut to_clear = std::mem::take(&mut self.analyze_clear);
+        to_clear.clear();
+        to_clear.extend_from_slice(&learnt);
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            if !self.lit_redundant(learnt[i]) {
+                learnt[kept] = learnt[i];
+                kept += 1;
             }
         }
-        for &l in &minimized {
+        learnt.truncate(kept);
+        for &l in &to_clear {
             self.seen[l.var().index()] = false;
         }
-        // `seen` for removed literals must be cleared too.
-        for (i, &l) in learnt.iter().enumerate() {
-            if !keep[i] {
-                self.seen[l.var().index()] = false;
-            }
-        }
-        let mut learnt = minimized;
+        self.analyze_clear = to_clear;
 
         // Find the backjump level: second-highest level in the clause.
         let bt_level = if learnt.len() == 1 {
@@ -751,24 +953,32 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
         };
-        (learnt, bt_level)
+        self.learnt_buf = learnt;
+        bt_level
     }
 
     /// A learnt literal is redundant if its reason's literals are all
     /// already in the learnt clause (marked `seen`) or at level 0.
     fn lit_redundant(&self, l: Lit) -> bool {
-        let v = l.var().index();
-        let Some(r) = self.reason[v] else {
+        let r = self.reason[l.var().index()];
+        if r == NO_REASON {
             return false;
-        };
-        self.clauses[r as usize].lits[1..].iter().all(|&q| {
+        }
+        self.ca.lits(r).skip(1).all(|q| {
             let qv = q.var().index();
             self.seen[qv] || self.level[qv] == 0
         })
     }
 
+    /// The next decision variable. Inside a domain solve it comes from
+    /// the domain heap, so an out-of-domain variable is never decided.
     fn pick_branch_var(&mut self) -> Option<Var> {
-        while let Some(v) = self.heap.pop(&self.activity) {
+        let heap = if self.domain_active {
+            &mut self.domain_heap
+        } else {
+            &mut self.heap
+        };
+        while let Some(v) = heap.pop(&self.activity) {
             if self.assign[v.index()] == LBool::Undef {
                 return Some(v);
             }
@@ -777,33 +987,80 @@ impl Solver {
     }
 
     fn reduce_db(&mut self) {
-        let mut learnt_idx: Vec<u32> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.learnt && !c.deleted && c.lits.len() > 2
-            })
-            .map(|i| u32::try_from(i).expect("index fits"))
+        let mut candidates: Vec<CRef> = self
+            .learnts
+            .iter()
+            .copied()
+            .filter(|&c| !self.ca.is_deleted(c) && self.ca.len(c) > 2)
             .collect();
-        learnt_idx.sort_by(|&a, &b| {
-            self.clauses[a as usize]
-                .activity
-                .partial_cmp(&self.clauses[b as usize].activity)
+        candidates.sort_by(|&a, &b| {
+            self.ca
+                .activity(a)
+                .partial_cmp(&self.ca.activity(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let to_delete = learnt_idx.len() / 2;
-        for &idx in &learnt_idx[..to_delete] {
-            let locked = {
-                let c = &self.clauses[idx as usize];
-                let v = c.lits[0].var().index();
-                self.reason[v] == Some(idx) && self.assign[v] != LBool::Undef
-            };
-            if !locked {
-                self.clauses[idx as usize].deleted = true;
-                self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+        let to_delete = candidates.len() / 2;
+        for &c in &candidates[..to_delete] {
+            if !self.is_locked(c) {
+                self.delete_learnt(c);
             }
         }
-        // Deleted clauses are purged from watch lists lazily in
-        // `propagate`.
+        let ca = &self.ca;
+        self.learnts.retain(|&c| !ca.is_deleted(c));
+        // Watchers of deleted clauses are purged lazily in `propagate`;
+        // their arena words are reclaimed by `collect_garbage`.
+    }
+
+    /// Compacts the arena once deleted clauses hold a fifth of it:
+    /// live clauses move down in creation order, and every watcher,
+    /// reason and learnt reference is rewritten. Runs only at decision
+    /// level 0, between searches.
+    pub(crate) fn collect_garbage(&mut self) {
+        debug_assert!(self.trail_lim.is_empty());
+        if self.ca.wasted * 5 <= self.ca.words.len() {
+            return;
+        }
+        const NONE: u32 = u32::MAX;
+        let mut old = std::mem::take(&mut self.ca.words);
+        let mut words = Vec::with_capacity(old.len() - self.ca.wasted);
+        // Copy live clauses down, then reuse each old clause's second
+        // word as its forwarding address (`NONE` for deleted clauses).
+        let mut c = 0usize;
+        while c < old.len() {
+            let size = 1 + (old[c] & LEARNT) as usize + (old[c] >> 2) as usize;
+            old[c + 1] = if old[c] & DELETED == 0 {
+                let to = u32::try_from(words.len()).expect("clause arena overflow");
+                words.extend_from_slice(&old[c..c + size]);
+                to
+            } else {
+                NONE
+            };
+            c += size;
+        }
+        let moved = |c: CRef| Some(old[c as usize + 1]).filter(|&n| n != NONE);
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| match moved(w.clause & !BINARY) {
+                Some(n) => {
+                    w.clause = n | (w.clause & BINARY);
+                    true
+                }
+                None => false,
+            });
+        }
+        for r in &mut self.reason {
+            if *r != NO_REASON {
+                *r = moved(*r).unwrap_or(NO_REASON);
+            }
+        }
+        self.learnts.retain_mut(|l| match moved(*l) {
+            Some(n) => {
+                *l = n;
+                true
+            }
+            None => false,
+        });
+        self.ca.words = words;
+        self.ca.wasted = 0;
     }
 
     /// Solves the current formula.
@@ -821,32 +1078,34 @@ impl Solver {
         self.solve_inner(assumptions, None)
     }
 
-    /// Like [`Solver::solve_with`], but answers under the early-`Sat`
-    /// domain watch: the search makes exactly the decisions an
-    /// unrestricted solve would, and declares `Sat` as soon as every
-    /// domain variable is assigned at a conflict-free propagation
-    /// fixpoint with all assumptions enqueued.
+    /// Like [`Solver::solve_with`], but confined to `domain`: above
+    /// decision level 0 the search decides and propagates only domain
+    /// variables, and answers `Sat` once every domain variable is
+    /// assigned at a conflict-free propagation fixpoint with all
+    /// assumptions enqueued. Level-0 propagation is unrestricted.
     ///
     /// Exact (same verdict as an unrestricted solve) only under the
     /// definitional-extension contract documented on [`Domain`]; the
     /// caller is responsible for supplying a definition-closed domain
     /// containing every assumption variable
-    /// ([`crate::CnfBuilder::domain_of`] does both).
+    /// ([`crate::CnfBuilder::domain_of`] does both). A `Sat` model
+    /// assigns every domain variable; variables outside the domain may
+    /// be left unassigned.
     pub fn solve_domain(&mut self, assumptions: &[Lit], domain: &Domain) -> SatResult {
         self.solve_inner(assumptions, Some(domain))
     }
 
     fn solve_inner(&mut self, assumptions: &[Lit], domain: Option<&Domain>) -> SatResult {
+        let started = self.record_episodes.then(Instant::now);
         let before = self.stats;
         self.stats.solves += 1;
         if !self.ok {
-            if self.record_episodes {
-                self.record_episode(before, "unsat", false);
-            }
+            self.record_episode(before, started, "unsat", false);
             return SatResult::Unsat;
         }
         debug_assert_eq!(self.decision_level(), 0);
         debug_assert!(domain.is_none_or(|d| assumptions.iter().all(|a| d.contains(a.var()))));
+        self.collect_garbage();
         self.enter_mode(domain);
         let mut restarts = 0u64;
         let result = loop {
@@ -863,16 +1122,15 @@ impl Solver {
             }
         };
         if result == SatResult::Sat {
-            self.model = self.assign.clone();
+            self.model.clone_from(&self.assign);
         }
         self.cancel_until(0);
-        if self.record_episodes {
-            let outcome = match result {
-                SatResult::Sat => "sat",
-                SatResult::Unsat => "unsat",
-            };
-            self.record_episode(before, outcome, false);
-        }
+        self.exit_mode();
+        let outcome = match result {
+            SatResult::Sat => "sat",
+            SatResult::Unsat => "unsat",
+        };
+        self.record_episode(before, started, outcome, false);
         result
     }
 
@@ -896,7 +1154,7 @@ impl Solver {
     }
 
     /// Budgeted counterpart of [`Solver::solve_domain`]: the same
-    /// domain-watched search, interruptible by `budget`.
+    /// domain-confined search, interruptible by `budget`.
     pub fn solve_domain_budgeted(
         &mut self,
         assumptions: &[Lit],
@@ -912,18 +1170,18 @@ impl Solver {
         budget: &SolveBudget,
         domain: Option<&Domain>,
     ) -> BudgetedSatResult {
+        let started = self.record_episodes.then(Instant::now);
         let before = self.stats;
         self.stats.solves += 1;
         if !self.ok {
             // Permanently UNSAT at the top level — definitive no matter
             // the budget.
-            if self.record_episodes {
-                self.record_episode(before, "unsat", true);
-            }
+            self.record_episode(before, started, "unsat", true);
             return BudgetedSatResult::Unsat;
         }
         debug_assert_eq!(self.decision_level(), 0);
         debug_assert!(domain.is_none_or(|d| assumptions.iter().all(|a| d.contains(a.var()))));
+        self.collect_garbage();
         self.enter_mode(domain);
         let limits = Limits {
             conflicts: budget
@@ -952,22 +1210,19 @@ impl Solver {
             }
         };
         if result == BudgetedSatResult::Sat {
-            self.model = self.assign.clone();
+            self.model.clone_from(&self.assign);
         }
         self.cancel_until(0);
-        if self.record_episodes {
-            let outcome = match result {
-                BudgetedSatResult::Sat => "sat",
-                BudgetedSatResult::Unsat => "unsat",
-                BudgetedSatResult::Unknown(BudgetExhausted::Conflicts) => "unknown(conflicts)",
-                BudgetedSatResult::Unknown(BudgetExhausted::Propagations) => {
-                    "unknown(propagations)"
-                }
-                BudgetedSatResult::Unknown(BudgetExhausted::Decisions) => "unknown(decisions)",
-                BudgetedSatResult::Unknown(BudgetExhausted::Deadline) => "unknown(deadline)",
-            };
-            self.record_episode(before, outcome, true);
-        }
+        self.exit_mode();
+        let outcome = match result {
+            BudgetedSatResult::Sat => "sat",
+            BudgetedSatResult::Unsat => "unsat",
+            BudgetedSatResult::Unknown(BudgetExhausted::Conflicts) => "unknown(conflicts)",
+            BudgetedSatResult::Unknown(BudgetExhausted::Propagations) => "unknown(propagations)",
+            BudgetedSatResult::Unknown(BudgetExhausted::Decisions) => "unknown(decisions)",
+            BudgetedSatResult::Unknown(BudgetExhausted::Deadline) => "unknown(deadline)",
+        };
+        self.record_episode(before, started, outcome, true);
         result
     }
 
@@ -1029,15 +1284,17 @@ impl Solver {
                     self.ok = false;
                     return SearchOutcome::Done(SatResult::Unsat);
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 self.cancel_until(bt);
+                let learnt = std::mem::take(&mut self.learnt_buf);
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
-                    let idx = self.attach_clause(learnt.clone(), true);
-                    self.cla_bump(idx);
-                    self.unchecked_enqueue(learnt[0], Some(idx));
+                    let c = self.attach_clause(&learnt, true);
+                    self.cla_bump(c);
+                    self.unchecked_enqueue(learnt[0], Some(c));
                 }
+                self.learnt_buf = learnt;
                 self.var_inc /= 0.95;
                 self.cla_inc /= 0.999;
                 if self.stats.learnt_clauses as usize > self.max_learnts {
@@ -1066,10 +1323,9 @@ impl Solver {
                     }
                     continue;
                 }
-                // Domain watch: with every assumption enqueued and
-                // every domain variable assigned at a conflict-free
-                // fixpoint, the query is satisfiable — no need to
-                // extend the assignment over the rest of the formula.
+                // Inside a domain: every domain variable assigned at a
+                // conflict-free fixpoint with every assumption enqueued
+                // means the query is satisfiable (see `Domain`).
                 if self.domain_active && self.domain_unassigned == 0 {
                     return SearchOutcome::Done(SatResult::Sat);
                 }
@@ -1085,7 +1341,7 @@ impl Solver {
 
     /// The value of `v` in the most recent satisfying assignment, or
     /// `None` if the last solve was unsatisfiable / the variable was
-    /// created afterwards.
+    /// created afterwards / a domain solve left it unassigned.
     #[must_use]
     pub fn value(&self, v: Var) -> Option<bool> {
         match self.model.get(v.index()) {
@@ -1142,6 +1398,33 @@ impl VarHeap {
         self.pos[v.index()] = self.heap.len();
         self.heap.push(v);
         self.sift_up(self.heap.len() - 1, act);
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Replaces the contents with `vars` (distinct), heapified in
+    /// linear time.
+    fn rebuild(&mut self, vars: impl Iterator<Item = Var>, act: &[f64]) {
+        self.clear();
+        for v in vars {
+            if self.pos.len() <= v.index() {
+                self.pos.resize(v.index() + 1, usize::MAX);
+            }
+            self.pos[v.index()] = self.heap.len();
+            self.heap.push(v);
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, act);
+        }
+    }
+
+    /// Empties the heap in time proportional to its size.
+    fn clear(&mut self) {
+        for v in self.heap.drain(..) {
+            self.pos[v.index()] = usize::MAX;
+        }
     }
 
     fn update(&mut self, v: Var, act: &[f64]) {
@@ -1556,6 +1839,65 @@ mod tests {
             );
         }
         assert!(s.stats().conflicts >= 29_000, "{:?}", s.stats());
+    }
+
+    /// Learnt-database reduction leaves deleted clauses in the arena;
+    /// the compaction at the next solve entry must reclaim them without
+    /// disturbing any watcher, reason or learnt reference.
+    #[test]
+    fn arena_compaction_preserves_verdicts() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut compactions = 0;
+        for round in 0..6 {
+            let nv = 90;
+            let mut s = Solver::new();
+            s.max_learnts_base = 40;
+            let vars: Vec<Var> = (0..nv).map(|_| s.new_var()).collect();
+            let mut clauses = Vec::new();
+            for _ in 0..380 {
+                let mut c: Vec<Lit> = Vec::new();
+                while c.len() < 3 {
+                    let lit = vars[(next() % nv as u64) as usize].lit(next() % 2 == 0);
+                    if !c.contains(&lit) && !c.contains(&!lit) {
+                        c.push(lit);
+                    }
+                }
+                s.add_clause(&c);
+                clauses.push(c);
+            }
+            let budget = SolveBudget::default().with_conflicts(30);
+            let mut verdict = None;
+            for _ in 0..200 {
+                let words = s.ca.words.len();
+                let r = s.solve_budgeted(&[], &budget);
+                compactions += usize::from(s.ca.words.len() < words);
+                if let Some(r) = r.known() {
+                    verdict = Some(r);
+                    break;
+                }
+            }
+            let verdict = verdict.unwrap_or_else(|| s.solve());
+            let mut fresh = Solver::new();
+            for _ in 0..nv {
+                fresh.new_var();
+            }
+            for c in &clauses {
+                fresh.add_clause(c);
+            }
+            assert_eq!(verdict, fresh.solve(), "round {round}");
+            if verdict == SatResult::Sat {
+                for c in &clauses {
+                    assert!(c.iter().any(|&l| s.lit_model(l) == Some(true)));
+                }
+            }
+        }
+        assert!(compactions > 0, "no compaction ran");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use hfta_core::{HierAnalysis, IncrementalAnalyzer, WarmSnapshot};
 use hfta_fta::sta::TopoSta;
-use hfta_fta::{AnalysisConfig, SolveBudget, StabilityOracle};
+use hfta_fta::{AnalysisConfig, SatAlg, SolveBudget, StabilityOracle};
 use hfta_netlist::{bench_format, Design, NetId, Netlist, NetlistError, Time};
 use hfta_trace::{TraceSink, Value};
 
@@ -73,17 +73,18 @@ impl ModuleOracle {
     /// Builds the oracle; with `shared` the backend runs in
     /// shared-solver mode (one incremental instance for the whole
     /// module, each probe domain-restricted to its output's transitive
-    /// fanin — bit-identical answers, see
-    /// [`StabilityOracle::new_sat_shared`]). Sessions pass `shared`
-    /// when their base budget is unlimited; budgeted sessions keep the
-    /// plain backend so degradations match the baseline exactly.
+    /// fanin — bit-identical answers, see [`SatAlg::new_shared`]).
+    /// Sessions pass `shared` when their base budget is unlimited;
+    /// budgeted sessions keep the plain backend so degradations match
+    /// the baseline exactly.
     fn new(leaf: &Netlist, shared: bool) -> Result<ModuleOracle, NetlistError> {
         let zeros = vec![Time::ZERO; leaf.inputs().len()];
-        let oracle = if shared {
-            StabilityOracle::new_sat_shared(leaf.clone(), &zeros)?
+        let alg = if shared {
+            SatAlg::new_shared()
         } else {
-            StabilityOracle::new_sat(leaf.clone(), &zeros)?
+            SatAlg::new()
         };
+        let oracle = StabilityOracle::new(leaf.clone(), &zeros, alg)?;
         Ok(ModuleOracle {
             netlist: leaf.clone(),
             oracle,
