@@ -77,6 +77,30 @@ pub trait BoolAlg {
     /// when `a` is a tautology.
     fn countermodel(&mut self, a: Self::Repr, num_inputs: usize) -> Option<Vec<bool>>;
 
+    /// Budgeted evaluation of `a` under one complete input assignment
+    /// (`vector[i]` is input `i`): `Some(value)`, or `None` when the
+    /// backend gave up because `budget` ran out. The default asks
+    /// whether the vector's input cube implies `a` — one tautology
+    /// check; backends override it with a direct evaluation.
+    fn eval_under(&mut self, a: Self::Repr, vector: &[bool], budget: &SolveBudget) -> Option<bool> {
+        let lits: Vec<Self::Repr> = vector
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let x = self.input(i);
+                if v {
+                    x
+                } else {
+                    self.not(x)
+                }
+            })
+            .collect();
+        let cube = self.and_many(&lits);
+        let not_cube = self.not(cube);
+        let implied = self.or(not_cube, a);
+        self.is_tautology_budgeted(implied, budget)
+    }
+
     /// Conjunction of a slice.
     fn and_many(&mut self, xs: &[Self::Repr]) -> Self::Repr {
         match xs.split_first() {
@@ -299,6 +323,38 @@ impl BoolAlg for SatAlg {
         self.cnf.solver_mut().take_episodes()
     }
 
+    /// Assumes every encoded input at its value in `vector` and reads
+    /// `a` off the model. The encoding is purely definitional, so unit
+    /// propagation alone assigns every variable and the solve makes no
+    /// decision outside the assumptions. In shared mode it runs inside
+    /// `a`'s domain, assuming only the inputs in it.
+    fn eval_under(&mut self, a: Lit, vector: &[bool], budget: &SolveBudget) -> Option<bool> {
+        self.tautology_queries += 1;
+        let domain = self.shared.then(|| {
+            self.domains_built += 1;
+            self.cnf.domain_of(&[a])
+        });
+        let assumptions: Vec<Lit> = vector
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &v)| {
+                let l = *self.inputs.get(&i)?;
+                let inside = domain.as_ref().is_none_or(|d| d.contains(l.var()));
+                inside.then_some(if v { l } else { !l })
+            })
+            .collect();
+        let result = match &domain {
+            Some(d) => self.cnf.solve_domain_budgeted(&assumptions, budget, d),
+            None => self.cnf.solve_with_budget(&assumptions, budget),
+        };
+        match result {
+            hfta_sat::BudgetedSatResult::Sat => self.cnf.lit_model(a),
+            // `Unsat` cannot happen over a definitional encoding; like an
+            // exhausted budget it leaves the value undecided.
+            hfta_sat::BudgetedSatResult::Unsat | hfta_sat::BudgetedSatResult::Unknown(_) => None,
+        }
+    }
+
     fn countermodel(&mut self, a: Lit, num_inputs: usize) -> Option<Vec<bool>> {
         self.tautology_queries += 1;
         let result = if self.shared {
@@ -409,6 +465,11 @@ impl BoolAlg for BddAlg {
         }
     }
 
+    fn eval_under(&mut self, a: Bdd, vector: &[bool], _budget: &SolveBudget) -> Option<bool> {
+        self.tautology_queries += 1;
+        Some(self.mgr.eval(a, vector))
+    }
+
     fn countermodel(&mut self, a: Bdd, num_inputs: usize) -> Option<Vec<bool>> {
         let na = self.mgr.not(a);
         self.mgr
@@ -455,6 +516,66 @@ mod tests {
     #[test]
     fn bdd_alg_semantics() {
         exercise(BddAlg::new());
+    }
+
+    /// The trait's default `eval_under` (an input-cube implication
+    /// check), kept by delegating everything else to a BDD.
+    #[derive(Default)]
+    struct CubeEval(BddAlg);
+
+    impl BoolAlg for CubeEval {
+        type Repr = Bdd;
+        fn top(&mut self) -> Bdd {
+            self.0.top()
+        }
+        fn bot(&mut self) -> Bdd {
+            self.0.bot()
+        }
+        fn input(&mut self, i: usize) -> Bdd {
+            self.0.input(i)
+        }
+        fn not(&mut self, a: Bdd) -> Bdd {
+            self.0.not(a)
+        }
+        fn and(&mut self, a: Bdd, b: Bdd) -> Bdd {
+            self.0.and(a, b)
+        }
+        fn or(&mut self, a: Bdd, b: Bdd) -> Bdd {
+            self.0.or(a, b)
+        }
+        fn is_tautology(&mut self, a: Bdd) -> bool {
+            self.0.is_tautology(a)
+        }
+        fn countermodel(&mut self, a: Bdd, num_inputs: usize) -> Option<Vec<bool>> {
+            self.0.countermodel(a, num_inputs)
+        }
+    }
+
+    /// `eval_under` of `(x0 ∧ x1) ∨ ¬x2` on all 16 vectors over four
+    /// inputs (x3 lies outside the function's support).
+    fn eval_table<A: BoolAlg>(mut alg: A) -> Vec<bool> {
+        let x: Vec<A::Repr> = (0..4).map(|i| alg.input(i)).collect();
+        let both = alg.and(x[0], x[1]);
+        let n2 = alg.not(x[2]);
+        let f = alg.or(both, n2);
+        (0u32..16)
+            .map(|v| {
+                let vector: Vec<bool> = (0..4).map(|i| (v >> i) & 1 == 1).collect();
+                alg.eval_under(f, &vector, &SolveBudget::UNLIMITED)
+                    .expect("unlimited budget decides")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn eval_under_agrees_across_backends() {
+        let truth: Vec<bool> = (0u32..16)
+            .map(|v| (v & 1 == 1 && v & 2 == 2) || v & 4 == 0)
+            .collect();
+        assert_eq!(eval_table(SatAlg::new()), truth);
+        assert_eq!(eval_table(SatAlg::new_shared()), truth);
+        assert_eq!(eval_table(BddAlg::new()), truth);
+        assert_eq!(eval_table(CubeEval::default()), truth);
     }
 
     #[test]

@@ -3,17 +3,106 @@
 //! This is the paper's comparator `[6]`: given a flat netlist and
 //! primary-input arrival times, compute for each output the earliest
 //! time it is guaranteed stable under the XBD0 model. Monotone speedup
-//! makes stability monotone in `t`, so the stable time is found by
-//! binary search over integer times between the earliest conceivable
-//! event and the topological arrival, with each probe answered by the
-//! [`StabilityAnalyzer`].
+//! makes stability monotone in `t`, so each delay is a search over
+//! integer times between a time at which the net is proved unstable
+//! and one at which it is proved stable, every probe answered by the
+//! [`StabilityAnalyzer`]. Two things keep the probes few and cheap:
+//!
+//! * **Witness-bounded start.** On first need the analyzer simulates
+//!   64 fixed-seed random input vectors through the
+//!   floating-mode evaluator [`sim::floating_settle_times`], which
+//!   shares no code with the stability recursion. An output's latest
+//!   simulated settle time `L` is a lower bound on its delay — but it
+//!   is only *used* after the backend confirms, under that very
+//!   vector, that the net is unstable at `L − 1`. The search then
+//!   starts there instead of at the earliest conceivable event,
+//!   skipping the expensive "unstable" probes far below the answer.
+//! * **Best-first circuit delay.** [`DelayAnalyzer::circuit_delay`]
+//!   visits outputs by decreasing topological arrival and tests each
+//!   later one once at the running maximum: an output stable there
+//!   cannot raise the maximum and is skipped.
+//!
+//! Every bound the search moves on is proved by the backend (or is the
+//! topological arrival), so delays do not depend on the simulation; a
+//! wrong or unlucky vector can only cost probes.
 
-use hfta_netlist::{NetId, Netlist, NetlistError, Time};
+use hfta_netlist::{sim, NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
 
 use crate::boolalg::{BoolAlg, SatAlg};
 use crate::sta::TopoSta;
 use crate::stability::{StabilityAnalyzer, StabilityStats};
+
+/// Random input vectors simulated per analyzer for the search's
+/// starting bounds.
+const HINT_VECTORS: usize = 64;
+
+/// Seed of the hint vectors: fixed, so the probe sequence of an
+/// analysis is reproducible.
+const HINT_SEED: u64 = 0x5eed_ba5e_d1a7_0001;
+
+/// Per-net lower bounds from the hint vectors: the latest settle time
+/// any of them reaches, and the first vector reaching it.
+#[derive(Debug)]
+struct Hints {
+    vectors: Vec<Vec<bool>>,
+    latest: Vec<(Time, usize)>,
+}
+
+impl Hints {
+    fn simulate(netlist: &Netlist, arrivals: &[Time]) -> Hints {
+        let mut state = HINT_SEED;
+        let vectors: Vec<Vec<bool>> = (0..HINT_VECTORS)
+            .map(|_| {
+                let mut word = 0;
+                (0..netlist.inputs().len())
+                    .map(|i| {
+                        if i % 64 == 0 {
+                            word = splitmix64(&mut state);
+                        }
+                        (word >> (i % 64)) & 1 == 1
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut latest = vec![(Time::NEG_INF, 0); netlist.net_count()];
+        for (k, vector) in vectors.iter().enumerate() {
+            let settle = sim::floating_settle_times(netlist, arrivals, vector)
+                .expect("acyclicity checked at construction");
+            for (best, &t) in latest.iter_mut().zip(&settle) {
+                if t > best.0 {
+                    *best = (t, k);
+                }
+            }
+        }
+        Hints { vectors, latest }
+    }
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Outcome of [`DelayAnalyzer::probe_floor`].
+enum Floor {
+    /// Proved stable at the floor.
+    Stable,
+    /// Proved unstable at this time, at or above the floor.
+    Unstable(i64),
+    /// The budget ran out.
+    Undecided,
+}
+
+/// Counts of hint confirmations, for tests.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct HintCounts {
+    confirmed: u64,
+    rejected: u64,
+}
 
 /// Functional (XBD0) delay analysis of one netlist under fixed arrival
 /// times.
@@ -46,9 +135,13 @@ pub struct DelayAnalyzer<'a, A: BoolAlg> {
     /// inputs of (arrival + shortest path). `POS_INF` when no finite
     /// events reach the net.
     first_event: Vec<Time>,
-    /// Outputs whose binary search was abandoned by the budget and
-    /// reported at their (sound) topological arrival.
+    /// Outputs whose search was abandoned by the budget and reported
+    /// at their (sound) topological arrival.
     degraded: u64,
+    /// Simulated lower bounds, built on the first search that needs
+    /// them (construction stays free of simulation).
+    hints: Option<Hints>,
+    hint_counts: HintCounts,
 }
 
 impl<'a> DelayAnalyzer<'a, SatAlg> {
@@ -109,6 +202,8 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
             topo_arrival,
             first_event,
             degraded: 0,
+            hints: None,
+            hint_counts: HintCounts::default(),
         })
     }
 
@@ -134,20 +229,46 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
     /// on inputs that never arrive).
     pub fn output_arrival(&mut self, net: NetId) -> Time {
         let topo = self.topo_arrival[net.index()];
-        let first = self.first_event[net.index()];
-        if first == Time::POS_INF {
-            // No finite events: stability is time-independent. The
-            // topological bound answers it — either the cone is settled
-            // from forever (−∞) or never (+∞ arrivals).
-            return topo;
+        let Some(first) = self.first_event[net.index()].finite() else {
+            // No finite events: stability is the same at every finite
+            // time, so one probe decides between −∞ and +∞.
+            if topo == Time::NEG_INF {
+                return topo;
+            }
+            return match self.stability.try_is_stable_at(net, Time::ZERO) {
+                Some(true) => Time::NEG_INF,
+                Some(false) => Time::POS_INF,
+                None => self.degrade(topo),
+            };
+        };
+        // Below the first finite event the predicate is constant, so
+        // stability there is stability from the beginning of time.
+        match self.probe_floor(net, first - 1) {
+            Floor::Stable => Time::NEG_INF,
+            Floor::Unstable(lo) => self.search_above(net, lo),
+            Floor::Undecided => self.degrade(topo),
         }
-        let lo = first.finite().expect("checked finite");
-        // Below the first finite event the predicate is constant.
-        match self.stability.try_is_stable_at(net, Time::new(lo - 1)) {
-            Some(true) => return Time::NEG_INF,
-            Some(false) => {}
-            None => return self.degrade(topo),
+    }
+
+    /// Decides `net` at `floor`: stable there, or proved unstable at
+    /// some `lo ≥ floor` — by a confirmed hint when one reaches that
+    /// high, else by a probe at `floor` itself.
+    fn probe_floor(&mut self, net: NetId, floor: i64) -> Floor {
+        if let Some(lo) = self.confirmed_hint(net, floor) {
+            return Floor::Unstable(lo);
         }
+        match self.stability.try_is_stable_at(net, Time::new(floor)) {
+            Some(true) => Floor::Stable,
+            Some(false) => Floor::Unstable(floor),
+            None => Floor::Undecided,
+        }
+    }
+
+    /// The earliest stable time of `net`, given that it is proved
+    /// unstable at `lo`. Bisects between `lo` and the topological
+    /// arrival (or, when that is `+∞`, the latest finite event).
+    fn search_above(&mut self, net: NetId, lo: i64) -> Time {
+        let topo = self.topo_arrival[net.index()];
         let hi = match topo.finite() {
             Some(h) => h,
             None => {
@@ -155,6 +276,9 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
                 // Some arrivals are +∞. Probe the latest finite event:
                 // if unstable there, the net needs the missing inputs.
                 let hi = self.latest_finite_event(net);
+                if lo >= hi {
+                    return Time::POS_INF;
+                }
                 match self.stability.try_is_stable_at(net, Time::new(hi)) {
                     Some(true) => hi,
                     Some(false) => return Time::POS_INF,
@@ -162,8 +286,8 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
                 }
             }
         };
-        // Invariant: unstable at lo−1, stable at hi.
-        let (mut lo, mut hi) = (lo - 1, hi);
+        // Invariant: proved unstable at lo, stable at hi.
+        let (mut lo, mut hi) = (lo, hi);
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
             match self.stability.try_is_stable_at(net, Time::new(mid)) {
@@ -175,6 +299,33 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
             }
         }
         Time::new(hi)
+    }
+
+    /// `L − 1`, where `L` is the latest settle time of `net` over the
+    /// hint vectors, once the backend confirms the net is unstable at
+    /// `L − 1` under the vector reaching it. `None` — leaving the
+    /// caller's bound alone — when `L − 1 < floor`, when `L` is not
+    /// finite, or when the confirmation is rejected or runs out of
+    /// budget.
+    fn confirmed_hint(&mut self, net: NetId, floor: i64) -> Option<i64> {
+        let stability = &mut self.stability;
+        let hints = self
+            .hints
+            .get_or_insert_with(|| Hints::simulate(stability.netlist(), stability.arrivals()));
+        let (latest, k) = hints.latest[net.index()];
+        let bound = latest.finite()? - 1;
+        if bound < floor {
+            return None;
+        }
+        let confirmed =
+            stability.try_is_unstable_under(net, Time::new(bound), &hints.vectors[k]) == Some(true);
+        if confirmed {
+            self.hint_counts.confirmed += 1;
+            Some(bound)
+        } else {
+            self.hint_counts.rejected += 1;
+            None
+        }
     }
 
     fn degrade(&mut self, topo: Time) -> Time {
@@ -211,19 +362,34 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
 
     /// The circuit's functional delay: the latest output arrival.
     ///
-    /// Outputs are visited in decreasing topological arrival order, and
-    /// an output whose topological bound cannot exceed the current
-    /// maximum is skipped (its functional arrival is at most
-    /// topological) — a large saving on circuits with many outputs.
+    /// Outputs are visited in decreasing topological arrival order. The
+    /// first is searched in full; every later one is tested once at the
+    /// running maximum `best` — stable there, it cannot raise the
+    /// maximum and is skipped; otherwise only `(best, topo]` is
+    /// searched. Once no topological bound exceeds `best` the rest are
+    /// skipped outright.
     pub fn circuit_delay(&mut self) -> Time {
         let mut outputs: Vec<NetId> = self.stability.netlist().outputs().to_vec();
         outputs.sort_by(|a, b| self.topo_arrival[b.index()].cmp(&self.topo_arrival[a.index()]));
         let mut best = Time::NEG_INF;
         for o in outputs {
-            if self.topo_arrival[o.index()] <= best {
+            let topo = self.topo_arrival[o.index()];
+            if topo <= best {
                 break; // sorted: nothing later can beat `best`
             }
-            best = best.max(self.output_arrival(o));
+            // An output with no finite events is decided by one probe
+            // in `output_arrival`; the rest are decided at `best`.
+            let arrival = match best.finite() {
+                Some(b) if self.first_event[o.index()].is_finite() => {
+                    match self.probe_floor(o, b) {
+                        Floor::Stable => continue,
+                        Floor::Unstable(lo) => self.search_above(o, lo),
+                        Floor::Undecided => self.degrade(topo),
+                    }
+                }
+                _ => self.output_arrival(o),
+            };
+            best = best.max(arrival);
         }
         best
     }
@@ -451,6 +617,72 @@ mod tests {
         // And the exact analyzer saw no budget activity.
         assert_eq!(exact.stats().degraded, 0);
         assert_eq!(exact.stats().budget_hits, 0);
+    }
+
+    /// A hint whose bound the net is actually stable at is rejected by
+    /// the backend and leaves the delay untouched — in the output
+    /// search and in the best-first circuit search alike.
+    #[test]
+    fn stable_hint_is_rejected_and_delay_unchanged() {
+        let nl = carry_skip_block(2, CsaDelays::default());
+        let arrivals = [t(5), t(0), t(0), t(0), t(0)];
+        let mut exact = DelayAnalyzer::new_sat(&nl, &arrivals).unwrap();
+        let truth = exact.output_arrivals();
+        let delay = exact.circuit_delay();
+        // Claim each output settles one unit *after* its delay under the
+        // all-zero vector: the bound (the delay itself) is a time the
+        // output is stable at, so every confirmation must fail.
+        let mut latest = vec![(Time::NEG_INF, 0); nl.net_count()];
+        for (&o, &a) in nl.outputs().iter().zip(&truth) {
+            latest[o.index()] = (a + t(1), 0);
+        }
+        let hints = || Hints {
+            vectors: vec![vec![false; 5]],
+            latest: latest.clone(),
+        };
+
+        let mut an = DelayAnalyzer::new_sat(&nl, &arrivals).unwrap();
+        an.hints = Some(hints());
+        assert_eq!(an.output_arrivals(), truth);
+        // Figure 5: c_out settles by 8 (topologically 11), and its
+        // injected bound 8 lies below the topological arrival, so the
+        // backend itself rejected it.
+        let c_out = nl.find_net("c_out").unwrap();
+        assert_eq!(an.output_arrival(c_out), t(8));
+        assert_eq!(an.hint_counts.confirmed, 0);
+        assert_eq!(an.hint_counts.rejected, 4);
+
+        let mut an = DelayAnalyzer::new_sat(&nl, &arrivals).unwrap();
+        an.hints = Some(hints());
+        assert_eq!(an.circuit_delay(), delay);
+        assert_eq!(an.hint_counts.confirmed, 0);
+        assert!(an.hint_counts.rejected > 0);
+    }
+
+    /// The simulated hints are confirmed on a circuit with false paths,
+    /// and the probe sequence depends only on backend verdicts: the
+    /// isolated and the shared SAT backend issue exactly the same
+    /// stability and SAT queries.
+    #[test]
+    fn probe_sequence_is_the_same_under_isolated_and_shared_sat() {
+        let circuits = [
+            carry_skip_adder_flat(8, 2, CsaDelays::default()).unwrap(),
+            carry_skip_block(2, CsaDelays::default()),
+            ripple_carry_adder(4, CsaDelays::default()),
+        ];
+        for nl in &circuits {
+            let arrivals: Vec<Time> = (0..nl.inputs().len() as i64).map(|k| t(k % 3)).collect();
+            let mut isolated = DelayAnalyzer::new(nl, &arrivals, SatAlg::new()).unwrap();
+            let mut shared = DelayAnalyzer::new(nl, &arrivals, SatAlg::new_shared()).unwrap();
+            assert_eq!(isolated.circuit_delay(), shared.circuit_delay());
+            assert_eq!(isolated.output_arrivals(), shared.output_arrivals());
+            let (i, s) = (isolated.stats(), shared.stats());
+            assert_eq!(i.queries, s.queries, "{}", nl.name());
+            assert_eq!(i.sat_queries, s.sat_queries, "{}", nl.name());
+            assert_eq!(isolated.hint_counts, shared.hint_counts);
+            assert!(isolated.hint_counts.confirmed > 0, "{}", nl.name());
+            assert_eq!(isolated.hint_counts.rejected, 0, "{}", nl.name());
+        }
     }
 
     #[test]

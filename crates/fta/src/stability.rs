@@ -413,6 +413,38 @@ impl<A: BoolAlg> Engine<A> {
         verdict
     }
 
+    /// Budgeted check that `net` is still unsettled at `t` under the
+    /// single input vector `vector`: `Some(true)` when it is, `None`
+    /// when the budget ran out. Answers the same predicate as
+    /// [`Engine::try_is_stable_at`] restricted to one vector, so a
+    /// `Some(true)` proves the net unstable at `t`.
+    pub(crate) fn try_is_unstable_under(
+        &mut self,
+        netlist: &Netlist,
+        net: NetId,
+        t: Time,
+        vector: &[bool],
+    ) -> Option<bool> {
+        self.stats.queries += 1;
+        if t >= self.topo_arrival[net.index()] {
+            self.stats.topological_hits += 1;
+            return Some(false);
+        }
+        if t < self.earliest[net.index()] {
+            self.stats.prune_hits += 1;
+            return Some(true);
+        }
+        let (s0, s1) = self.s01(netlist, net, t);
+        let settled = self.alg.or(s0, s1);
+        // An exhausted check only withholds a proof that the caller
+        // can do without, so it is not counted in `budget_hits` (which
+        // tracks exhaustions that degrade a result).
+        let budget = self.budget;
+        self.alg
+            .eval_under(settled, vector, &budget)
+            .map(|settled| !settled)
+    }
+
     pub(crate) fn characteristic(
         &mut self,
         netlist: &Netlist,
@@ -736,6 +768,21 @@ impl<'a, A: BoolAlg> StabilityAnalyzer<'a, A> {
     /// and performs exactly the work of `is_stable_at`.
     pub fn try_is_stable_at(&mut self, net: NetId, t: Time) -> Option<bool> {
         self.engine.try_is_stable_at(self.netlist, net, t)
+    }
+
+    /// Budgeted check that `net` is still unsettled at `t` under the
+    /// one input vector `vector` (input order): `Some(true)` proves it
+    /// unstable at `t`, `None` means the budget ran out. Cheaper than
+    /// [`StabilityAnalyzer::try_is_stable_at`]: the backend evaluates
+    /// instead of searching.
+    pub(crate) fn try_is_unstable_under(
+        &mut self,
+        net: NetId,
+        t: Time,
+        vector: &[bool],
+    ) -> Option<bool> {
+        self.engine
+            .try_is_unstable_under(self.netlist, net, t, vector)
     }
 
     /// The pair `(S0, S1)` of characteristic functions of `net` at `t`.

@@ -4,7 +4,7 @@
 //! equivalence (e.g. that [`Design::flatten`](crate::Design::flatten)
 //! preserves behaviour) and by the exact timing engines on small cones.
 
-use crate::{NetId, Netlist, NetlistError};
+use crate::{GateKind, NetId, Netlist, NetlistError, Time};
 
 /// A three-valued logic value: `0`, `1` or unknown (`X`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -140,8 +140,7 @@ pub fn eval_tri(netlist: &Netlist, inputs: &[Tri]) -> Result<Vec<Tri>, NetlistEr
         .collect())
 }
 
-fn eval_gate_tri(kind: crate::GateKind, inputs: &[Tri]) -> Tri {
-    use crate::GateKind;
+fn eval_gate_tri(kind: GateKind, inputs: &[Tri]) -> Tri {
     match kind {
         GateKind::Const0 => Tri::F,
         GateKind::Const1 => Tri::T,
@@ -202,6 +201,114 @@ fn eval_gate_tri(kind: crate::GateKind, inputs: &[Tri]) -> Tri {
     }
 }
 
+/// Floating-mode (XBD0) settle time of every net under one input
+/// vector: the earliest time from which the net is guaranteed to hold
+/// its final value whatever the gate delays in `[0, d]` do, given the
+/// primary-input arrival times (one per input, in input order; `±∞`
+/// allowed).
+///
+/// One topological pass of per-gate rules:
+///
+/// * a primary input settles at its arrival; a constant settles at
+///   `−∞`; an undriven, non-input net never settles (`+∞`);
+/// * AND/NAND/OR/NOR: the earliest input at the controlling value if
+///   any input has it, else the latest input;
+/// * XOR/XNOR: the latest input;
+/// * MUX `s·a + s̄·b`: the earliest of the primes the vector satisfies
+///   (`s·a` when `s`, `s̄·b` when `s̄`, the consensus `a·b` when
+///   `a = b`), each prime settling with its latest input;
+///
+/// and every rule then adds the gate delay. The maximum over all
+/// `2^n` vectors is the exact XBD0 delay of a net; the maximum over
+/// any subset is a lower bound on it. The rules are stated directly
+/// here, apart from the characteristic-function recursion of the
+/// timing engines, so the two can check each other.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+///
+/// # Panics
+///
+/// Panics if `arrivals` or `vector` has the wrong length.
+///
+/// # Example
+///
+/// ```
+/// use hfta_netlist::{sim, GateKind, Netlist, Time};
+///
+/// # fn main() -> Result<(), hfta_netlist::NetlistError> {
+/// let mut nl = Netlist::new("and2");
+/// let a = nl.add_input("a");
+/// let b = nl.add_input("b");
+/// let z = nl.add_net("z");
+/// nl.add_gate(GateKind::And, &[a, b], z, 1)?;
+/// let arrivals = [Time::new(0), Time::new(5)];
+/// // a = 0 controls the AND: z settles one delay after a.
+/// assert_eq!(sim::floating_settle_times(&nl, &arrivals, &[false, true])?[z.index()], Time::new(1));
+/// // Both inputs at 1: z waits for the later one.
+/// assert_eq!(sim::floating_settle_times(&nl, &arrivals, &[true, true])?[z.index()], Time::new(6));
+/// # Ok(())
+/// # }
+/// ```
+pub fn floating_settle_times(
+    netlist: &Netlist,
+    arrivals: &[Time],
+    vector: &[bool],
+) -> Result<Vec<Time>, NetlistError> {
+    assert_eq!(
+        arrivals.len(),
+        netlist.inputs().len(),
+        "arrival vector length mismatch"
+    );
+    assert_eq!(
+        vector.len(),
+        netlist.inputs().len(),
+        "input vector length mismatch"
+    );
+    let mut values = vec![false; netlist.net_count()];
+    let mut settle = vec![Time::POS_INF; netlist.net_count()];
+    for (k, &pi) in netlist.inputs().iter().enumerate() {
+        values[pi.index()] = vector[k];
+        settle[pi.index()] = arrivals[k];
+    }
+    let mut buf = Vec::new();
+    for g in netlist.topo_gates()? {
+        let gate = netlist.gate(g);
+        let ins = &gate.inputs[..];
+        let at = |n: &NetId| settle[n.index()];
+        let val = |n: &NetId| values[n.index()];
+        let latest = || ins.iter().map(at).fold(Time::NEG_INF, Time::max);
+        let ready = match gate.kind {
+            GateKind::Const0 | GateKind::Const1 => Time::NEG_INF,
+            GateKind::Buf | GateKind::Not | GateKind::Xor | GateKind::Xnor => latest(),
+            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+                let controlling = matches!(gate.kind, GateKind::Or | GateKind::Nor);
+                ins.iter()
+                    .filter(|n| val(n) == controlling)
+                    .map(at)
+                    .reduce(Time::min)
+                    .unwrap_or_else(latest)
+            }
+            GateKind::Mux => {
+                let (s, a, b) = (&ins[0], &ins[1], &ins[2]);
+                let chosen = at(s).max(if val(s) { at(a) } else { at(b) });
+                let consensus = if val(a) == val(b) {
+                    at(a).max(at(b))
+                } else {
+                    Time::POS_INF
+                };
+                chosen.min(consensus)
+            }
+        };
+        buf.clear();
+        buf.extend(ins.iter().map(val));
+        values[gate.output.index()] = gate.kind.eval(&buf);
+        settle[gate.output.index()] = ready + Time::from(gate.delay);
+    }
+    Ok(settle)
+}
+
 /// Exhaustively checks that two netlists with identically ordered ports
 /// compute the same Boolean functions (inputs ≤ `max_inputs`).
 ///
@@ -244,7 +351,6 @@ pub fn support(netlist: &Netlist, net: NetId) -> Vec<NetId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GateKind;
 
     fn mux_netlist() -> Netlist {
         let mut nl = Netlist::new("m");
@@ -337,5 +443,98 @@ mod tests {
         nl.add_gate(GateKind::Or, &[a, b], z, 1).unwrap();
         nl.mark_output(z);
         assert_eq!(support(&nl, z), vec![a, b]);
+    }
+
+    fn t(v: i64) -> Time {
+        Time::new(v)
+    }
+
+    /// The worst settle time of `net` over all input vectors.
+    fn worst_settle(nl: &Netlist, arrivals: &[Time], net: NetId) -> Time {
+        let n = nl.inputs().len();
+        (0u32..1 << n)
+            .map(|v| {
+                let vector: Vec<bool> = (0..n).map(|i| (v >> i) & 1 == 1).collect();
+                floating_settle_times(nl, arrivals, &vector).unwrap()[net.index()]
+            })
+            .fold(Time::NEG_INF, Time::max)
+    }
+
+    /// Paper Figure 5 on the 2-bit carry-skip block (inputs c_in a0 b0
+    /// a1 b1): with c_in at 5 and the rest at 0, c_out settles by 8 on
+    /// every vector (the c_in → c_out path is false), not the
+    /// topological 11.
+    #[test]
+    fn floating_carry_skip_figure5() {
+        let nl = crate::gen::carry_skip_block(2, crate::gen::CsaDelays::default());
+        let c_out = nl.find_net("c_out").unwrap();
+        let skewed = [t(5), t(0), t(0), t(0), t(0)];
+        assert_eq!(worst_settle(&nl, &skewed, c_out), t(8));
+        // All inputs at 0: s0, s1 and c_out at 4, 6 and 8.
+        let zeros = [t(0); 5];
+        let worst: Vec<Time> = nl
+            .outputs()
+            .iter()
+            .map(|&o| worst_settle(&nl, &zeros, o))
+            .collect();
+        assert_eq!(worst, vec![t(4), t(6), t(8)]);
+        // Only c_in late: the skip mux passes it in 2.
+        let late_cin = [t(0), t(-10), t(-10), t(-10), t(-10)];
+        assert_eq!(worst_settle(&nl, &late_cin, c_out), t(2));
+    }
+
+    #[test]
+    fn floating_and_waits_for_earliest_controlling_input() {
+        let mut nl = Netlist::new("m");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let z = nl.add_net("z");
+        nl.add_gate(GateKind::Nand, &[a, b], z, 2).unwrap();
+        let arr = [t(1), t(7)];
+        let at = |v: [bool; 2]| floating_settle_times(&nl, &arr, &v).unwrap()[z.index()];
+        assert_eq!(at([false, false]), t(3)); // a controls first
+        assert_eq!(at([true, false]), t(9)); // only b controls
+        assert_eq!(at([true, true]), t(9)); // no control: latest input
+    }
+
+    #[test]
+    fn floating_mux_consensus_masks_a_late_select() {
+        let nl = mux_netlist();
+        let z = nl.outputs()[0];
+        let arr = [Time::POS_INF, t(0), t(2)];
+        let at = |v: [bool; 3]| floating_settle_times(&nl, &arr, &v).unwrap()[z.index()];
+        // a = b: the consensus prime settles without the select.
+        assert_eq!(at([true, true, true]), t(4));
+        assert_eq!(at([false, false, false]), t(4));
+        // a ≠ b: the output waits for the select, which never comes.
+        assert_eq!(at([true, true, false]), Time::POS_INF);
+        // An early select picks its data input.
+        let arr = [t(0), t(0), t(9)];
+        let at = |v: [bool; 3]| floating_settle_times(&nl, &arr, &v).unwrap()[z.index()];
+        assert_eq!(at([true, true, false]), t(2));
+        assert_eq!(at([false, true, false]), t(11));
+    }
+
+    #[test]
+    fn floating_constants_infinities_and_undriven_nets() {
+        let mut nl = Netlist::new("m");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let k = nl.add_net("k");
+        let x = nl.add_net("x");
+        let u = nl.add_net("u");
+        let y = nl.add_net("y");
+        nl.add_gate(GateKind::Const1, &[], k, 3).unwrap();
+        nl.add_gate(GateKind::Xor, &[a, b], x, 1).unwrap();
+        nl.add_gate(GateKind::Or, &[u, k], y, 1).unwrap();
+        let settle = floating_settle_times(&nl, &[Time::NEG_INF, t(4)], &[true, false]).unwrap();
+        assert_eq!(settle[k.index()], Time::NEG_INF);
+        assert_eq!(settle[x.index()], t(5));
+        assert_eq!(settle[u.index()], Time::POS_INF);
+        // The constant-1 input controls the OR; the floating one does not.
+        assert_eq!(settle[y.index()], Time::NEG_INF);
+        let settle =
+            floating_settle_times(&nl, &[Time::NEG_INF, Time::NEG_INF], &[true, false]).unwrap();
+        assert_eq!(settle[x.index()], Time::NEG_INF);
     }
 }

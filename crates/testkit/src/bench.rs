@@ -20,6 +20,10 @@
 //! * `HFTA_GIT_REV` — overrides the `git_rev` stamped into each record
 //!   (otherwise `git rev-parse --short HEAD`, or `unknown` outside a
 //!   checkout).
+//! * `HFTA_MACHINE` — overrides the `machine` stamped into each record
+//!   (otherwise the CPU model name from `/proc/cpuinfo`, or `unknown`,
+//!   followed by `x<N>` for the available parallelism), so records
+//!   from different hosts are never compared by accident.
 
 use std::hint::black_box;
 use std::io::Write as _;
@@ -47,6 +51,10 @@ pub struct Record {
     /// Short git revision of the workspace being measured (`unknown`
     /// outside a checkout; override with `HFTA_GIT_REV`).
     pub git_rev: String,
+    /// The host that measured it: CPU model and available parallelism,
+    /// e.g. `Intel(R) Xeon(R) Processor x2` (override with
+    /// `HFTA_MACHINE`).
+    pub machine: String,
 }
 
 impl Record {
@@ -59,7 +67,7 @@ impl Record {
             "{{\"bench\":\"{}\",\"case\":\"{}/{}\",\
              \"group\":\"{}\",\"id\":\"{}\",\"iters\":{},\
              \"min_ns\":{},\"mean_ns\":{},\"median_ns\":{},\"p95_ns\":{},\
-             \"git_rev\":\"{}\"}}",
+             \"git_rev\":\"{}\",\"machine\":\"{}\"}}",
             escape(&self.bench),
             escape(&self.group),
             escape(&self.id),
@@ -71,6 +79,7 @@ impl Record {
             self.median.as_nanos(),
             self.p95.as_nanos(),
             escape(&self.git_rev),
+            escape(&self.machine),
         )
     }
 }
@@ -93,6 +102,29 @@ fn resolve_git_rev() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The host tag to stamp into records: `HFTA_MACHINE` if set, else
+/// `<CPU model> x<available parallelism>`.
+fn resolve_machine() -> String {
+    if let Ok(machine) = std::env::var("HFTA_MACHINE") {
+        let machine = machine.trim().to_string();
+        if !machine.is_empty() {
+            return machine;
+        }
+    }
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, name)| name.trim().to_string())
+        })
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    format!("{model} x{cpus}")
 }
 
 fn escape(s: &str) -> String {
@@ -120,6 +152,7 @@ pub struct Harness {
     warmup: u32,
     iters: u32,
     git_rev: String,
+    machine: String,
     records: Vec<Record>,
 }
 
@@ -135,6 +168,7 @@ impl Harness {
             warmup,
             iters,
             git_rev: resolve_git_rev(),
+            machine: resolve_machine(),
             records: Vec::new(),
         }
     }
@@ -227,6 +261,7 @@ impl Harness {
             median: samples[n / 2],
             p95: samples[(n * 95).div_ceil(100).saturating_sub(1).min(n - 1)],
             git_rev: self.git_rev.clone(),
+            machine: self.machine.clone(),
         };
         println!(
             "{:<36} median {:>9}  p95 {:>9}  min {:>9}  (n={})",
@@ -314,6 +349,7 @@ mod tests {
             median: Duration::from_nanos(140),
             p95: Duration::from_nanos(200),
             git_rev: "abc1234".into(),
+            machine: "Test CPU x2".into(),
         };
         let j = r.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
@@ -325,6 +361,7 @@ mod tests {
             "\"bench\":\"selfbench\"",
             "\"case\":\"g/id/2\"",
             "\"git_rev\":\"abc1234\"",
+            "\"machine\":\"Test CPU x2\"",
         ] {
             assert!(j.contains(key), "{j} missing {key}");
         }
