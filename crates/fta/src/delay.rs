@@ -28,6 +28,7 @@
 
 use hfta_netlist::{sim, NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
+use hfta_testkit::SplitMix64;
 
 use crate::boolalg::{BoolAlg, SatAlg};
 use crate::sta::TopoSta;
@@ -51,14 +52,14 @@ struct Hints {
 
 impl Hints {
     fn simulate(netlist: &Netlist, arrivals: &[Time]) -> Hints {
-        let mut state = HINT_SEED;
+        let mut rng = SplitMix64::new(HINT_SEED);
         let vectors: Vec<Vec<bool>> = (0..HINT_VECTORS)
             .map(|_| {
                 let mut word = 0;
                 (0..netlist.inputs().len())
                     .map(|i| {
                         if i % 64 == 0 {
-                            word = splitmix64(&mut state);
+                            word = rng.next_u64();
                         }
                         (word >> (i % 64)) & 1 == 1
                     })
@@ -77,14 +78,6 @@ impl Hints {
         }
         Hints { vectors, latest }
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Outcome of [`DelayAnalyzer::probe_floor`].
