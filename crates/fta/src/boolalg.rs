@@ -79,27 +79,8 @@ pub trait BoolAlg {
 
     /// Budgeted evaluation of `a` under one complete input assignment
     /// (`vector[i]` is input `i`): `Some(value)`, or `None` when the
-    /// backend gave up because `budget` ran out. The default asks
-    /// whether the vector's input cube implies `a` — one tautology
-    /// check; backends override it with a direct evaluation.
-    fn eval_under(&mut self, a: Self::Repr, vector: &[bool], budget: &SolveBudget) -> Option<bool> {
-        let lits: Vec<Self::Repr> = vector
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let x = self.input(i);
-                if v {
-                    x
-                } else {
-                    self.not(x)
-                }
-            })
-            .collect();
-        let cube = self.and_many(&lits);
-        let not_cube = self.not(cube);
-        let implied = self.or(not_cube, a);
-        self.is_tautology_budgeted(implied, budget)
-    }
+    /// backend gave up because `budget` ran out.
+    fn eval_under(&mut self, a: Self::Repr, vector: &[bool], budget: &SolveBudget) -> Option<bool>;
 
     /// Conjunction of a slice.
     fn and_many(&mut self, xs: &[Self::Repr]) -> Self::Repr {
@@ -518,39 +499,6 @@ mod tests {
         exercise(BddAlg::new());
     }
 
-    /// The trait's default `eval_under` (an input-cube implication
-    /// check), kept by delegating everything else to a BDD.
-    #[derive(Default)]
-    struct CubeEval(BddAlg);
-
-    impl BoolAlg for CubeEval {
-        type Repr = Bdd;
-        fn top(&mut self) -> Bdd {
-            self.0.top()
-        }
-        fn bot(&mut self) -> Bdd {
-            self.0.bot()
-        }
-        fn input(&mut self, i: usize) -> Bdd {
-            self.0.input(i)
-        }
-        fn not(&mut self, a: Bdd) -> Bdd {
-            self.0.not(a)
-        }
-        fn and(&mut self, a: Bdd, b: Bdd) -> Bdd {
-            self.0.and(a, b)
-        }
-        fn or(&mut self, a: Bdd, b: Bdd) -> Bdd {
-            self.0.or(a, b)
-        }
-        fn is_tautology(&mut self, a: Bdd) -> bool {
-            self.0.is_tautology(a)
-        }
-        fn countermodel(&mut self, a: Bdd, num_inputs: usize) -> Option<Vec<bool>> {
-            self.0.countermodel(a, num_inputs)
-        }
-    }
-
     /// `eval_under` of `(x0 ∧ x1) ∨ ¬x2` on all 16 vectors over four
     /// inputs (x3 lies outside the function's support).
     fn eval_table<A: BoolAlg>(mut alg: A) -> Vec<bool> {
@@ -575,7 +523,6 @@ mod tests {
         assert_eq!(eval_table(SatAlg::new()), truth);
         assert_eq!(eval_table(SatAlg::new_shared()), truth);
         assert_eq!(eval_table(BddAlg::new()), truth);
-        assert_eq!(eval_table(CubeEval::default()), truth);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 
 use hfta_netlist::{sim, NetId, Netlist, NetlistError, Time};
 use hfta_sat::SolveBudget;
-use hfta_testkit::SplitMix64;
 
 use crate::boolalg::{BoolAlg, SatAlg};
 use crate::sta::TopoSta;
@@ -42,46 +41,9 @@ const HINT_VECTORS: usize = 64;
 /// analysis is reproducible.
 const HINT_SEED: u64 = 0x5eed_ba5e_d1a7_0001;
 
-/// Per-net lower bounds from the hint vectors: the latest settle time
-/// any of them reaches, and the first vector reaching it.
-#[derive(Debug)]
-struct Hints {
-    vectors: Vec<Vec<bool>>,
-    latest: Vec<(Time, usize)>,
-}
-
-impl Hints {
-    fn simulate(netlist: &Netlist, arrivals: &[Time]) -> Hints {
-        let mut rng = SplitMix64::new(HINT_SEED);
-        let vectors: Vec<Vec<bool>> = (0..HINT_VECTORS)
-            .map(|_| {
-                let mut word = 0;
-                (0..netlist.inputs().len())
-                    .map(|i| {
-                        if i % 64 == 0 {
-                            word = rng.next_u64();
-                        }
-                        (word >> (i % 64)) & 1 == 1
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut latest = vec![(Time::NEG_INF, 0); netlist.net_count()];
-        for (k, vector) in vectors.iter().enumerate() {
-            let settle = sim::floating_settle_times(netlist, arrivals, vector)
-                .expect("acyclicity checked at construction");
-            for (best, &t) in latest.iter_mut().zip(&settle) {
-                if t > best.0 {
-                    *best = (t, k);
-                }
-            }
-        }
-        Hints { vectors, latest }
-    }
-}
-
-/// Outcome of [`DelayAnalyzer::probe_floor`].
-enum Floor {
+/// The verdict on a net at the floor of its delay search.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Floor {
     /// Proved stable at the floor.
     Stable,
     /// Proved unstable at this time, at or above the floor.
@@ -90,11 +52,88 @@ enum Floor {
     Undecided,
 }
 
-/// Counts of hint confirmations, for tests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct HintCounts {
-    confirmed: u64,
-    rejected: u64,
+impl Floor {
+    /// The floor verdict of a budgeted stability probe at `t`.
+    #[must_use]
+    pub fn probed(t: i64, stable: Option<bool>) -> Floor {
+        match stable {
+            Some(true) => Floor::Stable,
+            Some(false) => Floor::Unstable(t),
+            None => Floor::Undecided,
+        }
+    }
+}
+
+/// How the XBD0 delay search of one net begins; see [`start_search`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SearchStart {
+    /// Decided without bisection.
+    Arrival(Time),
+    /// Proved unstable at this time: the arrival lies above it.
+    Above(i64),
+    /// The budget ran out: report the topological arrival.
+    Degraded,
+}
+
+/// Begins the XBD0 delay search of a net whose topological arrival is
+/// `topo` and whose earliest finite event is `first_event` (see
+/// [`first_events`]); `decide(floor)` returns the net's [`Floor`]
+/// verdict at `floor`.
+///
+/// Below the first event the stability predicate is constant, so the
+/// net is stable from the beginning of time exactly when it is stable
+/// at `first_event − 1`. When no finite event reaches the net at all,
+/// stability is the same at every finite time, so one verdict at 0
+/// decides between `−∞` and `+∞` — the topological bound is not exact
+/// there, since a late input can still be masked.
+pub fn start_search(
+    topo: Time,
+    first_event: Time,
+    decide: impl FnOnce(i64) -> Floor,
+) -> SearchStart {
+    let (floor, events) = match first_event.finite() {
+        Some(first) => (first - 1, true),
+        None if topo == Time::NEG_INF => return SearchStart::Arrival(topo),
+        None => (0, false),
+    };
+    match decide(floor) {
+        Floor::Stable => SearchStart::Arrival(Time::NEG_INF),
+        Floor::Unstable(lo) if events => SearchStart::Above(lo),
+        Floor::Unstable(_) => SearchStart::Arrival(Time::POS_INF),
+        Floor::Undecided => SearchStart::Degraded,
+    }
+}
+
+/// Earliest finite event per net: the min over finite-arrival support
+/// inputs of (arrival + shortest path), `POS_INF` where no finite event
+/// reaches the net.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+///
+/// # Panics
+///
+/// Panics if `pi_arrivals.len()` differs from the input count.
+pub fn first_events(netlist: &Netlist, pi_arrivals: &[Time]) -> Result<Vec<Time>, NetlistError> {
+    let mut first = vec![Time::POS_INF; netlist.net_count()];
+    for (k, &pi) in netlist.inputs().iter().enumerate() {
+        if pi_arrivals[k].is_finite() {
+            first[pi.index()] = pi_arrivals[k];
+        }
+    }
+    for &g in &netlist.topo_gates()? {
+        let gate = netlist.gate(g);
+        let best = gate
+            .inputs
+            .iter()
+            .map(|n| first[n.index()])
+            .fold(Time::POS_INF, Time::min);
+        if best != Time::POS_INF {
+            first[gate.output.index()] = best + Time::from(gate.delay);
+        }
+    }
+    Ok(first)
 }
 
 /// Functional (XBD0) delay analysis of one netlist under fixed arrival
@@ -133,8 +172,7 @@ pub struct DelayAnalyzer<'a, A: BoolAlg> {
     degraded: u64,
     /// Simulated lower bounds, built on the first search that needs
     /// them (construction stays free of simulation).
-    hints: Option<Hints>,
-    hint_counts: HintCounts,
+    hints: Option<sim::SampledSettle>,
 }
 
 impl<'a> DelayAnalyzer<'a, SatAlg> {
@@ -170,24 +208,7 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
     pub fn new(netlist: &'a Netlist, pi_arrivals: &[Time], alg: A) -> Result<Self, NetlistError> {
         let sta = TopoSta::new(netlist)?;
         let topo_arrival = sta.arrival_times(pi_arrivals);
-        // First finite event: min-propagate finite arrivals only.
-        let mut first_event = vec![Time::POS_INF; netlist.net_count()];
-        for (k, &pi) in netlist.inputs().iter().enumerate() {
-            if pi_arrivals[k].is_finite() {
-                first_event[pi.index()] = pi_arrivals[k];
-            }
-        }
-        for &g in &netlist.topo_gates()? {
-            let gate = netlist.gate(g);
-            let best = gate
-                .inputs
-                .iter()
-                .map(|n| first_event[n.index()])
-                .fold(Time::POS_INF, Time::min);
-            if best != Time::POS_INF {
-                first_event[gate.output.index()] = best + Time::from(gate.delay);
-            }
-        }
+        let first_event = first_events(netlist, pi_arrivals)?;
         let stability = StabilityAnalyzer::new(netlist, pi_arrivals, alg)?;
         Ok(DelayAnalyzer {
             stability,
@@ -196,7 +217,6 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
             first_event,
             degraded: 0,
             hints: None,
-            hint_counts: HintCounts::default(),
         })
     }
 
@@ -222,24 +242,11 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
     /// on inputs that never arrive).
     pub fn output_arrival(&mut self, net: NetId) -> Time {
         let topo = self.topo_arrival[net.index()];
-        let Some(first) = self.first_event[net.index()].finite() else {
-            // No finite events: stability is the same at every finite
-            // time, so one probe decides between −∞ and +∞.
-            if topo == Time::NEG_INF {
-                return topo;
-            }
-            return match self.stability.try_is_stable_at(net, Time::ZERO) {
-                Some(true) => Time::NEG_INF,
-                Some(false) => Time::POS_INF,
-                None => self.degrade(topo),
-            };
-        };
-        // Below the first finite event the predicate is constant, so
-        // stability there is stability from the beginning of time.
-        match self.probe_floor(net, first - 1) {
-            Floor::Stable => Time::NEG_INF,
-            Floor::Unstable(lo) => self.search_above(net, lo),
-            Floor::Undecided => self.degrade(topo),
+        let first = self.first_event[net.index()];
+        match start_search(topo, first, |floor| self.probe_floor(net, floor)) {
+            SearchStart::Arrival(t) => t,
+            SearchStart::Above(lo) => self.search_above(net, lo),
+            SearchStart::Degraded => self.degrade(topo),
         }
     }
 
@@ -250,11 +257,10 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
         if let Some(lo) = self.confirmed_hint(net, floor) {
             return Floor::Unstable(lo);
         }
-        match self.stability.try_is_stable_at(net, Time::new(floor)) {
-            Some(true) => Floor::Stable,
-            Some(false) => Floor::Unstable(floor),
-            None => Floor::Undecided,
-        }
+        Floor::probed(
+            floor,
+            self.stability.try_is_stable_at(net, Time::new(floor)),
+        )
     }
 
     /// The earliest stable time of `net`, given that it is proved
@@ -302,9 +308,15 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
     /// budget.
     fn confirmed_hint(&mut self, net: NetId, floor: i64) -> Option<i64> {
         let stability = &mut self.stability;
-        let hints = self
-            .hints
-            .get_or_insert_with(|| Hints::simulate(stability.netlist(), stability.arrivals()));
+        let hints = self.hints.get_or_insert_with(|| {
+            sim::sampled_floating_settle(
+                stability.netlist(),
+                stability.arrivals(),
+                HINT_VECTORS,
+                HINT_SEED,
+            )
+            .expect("acyclicity checked at construction")
+        });
         let (latest, k) = hints.latest[net.index()];
         let bound = latest.finite()? - 1;
         if bound < floor {
@@ -312,13 +324,7 @@ impl<'a, A: BoolAlg> DelayAnalyzer<'a, A> {
         }
         let confirmed =
             stability.try_is_unstable_under(net, Time::new(bound), &hints.vectors[k]) == Some(true);
-        if confirmed {
-            self.hint_counts.confirmed += 1;
-            Some(bound)
-        } else {
-            self.hint_counts.rejected += 1;
-            None
-        }
+        confirmed.then_some(bound)
     }
 
     fn degrade(&mut self, topo: Time) -> Time {
@@ -629,27 +635,26 @@ mod tests {
         for (&o, &a) in nl.outputs().iter().zip(&truth) {
             latest[o.index()] = (a + t(1), 0);
         }
-        let hints = || Hints {
+        let hints = || sim::SampledSettle {
             vectors: vec![vec![false; 5]],
             latest: latest.clone(),
         };
 
         let mut an = DelayAnalyzer::new_sat(&nl, &arrivals).unwrap();
         an.hints = Some(hints());
+        for &o in nl.outputs() {
+            assert_eq!(an.confirmed_hint(o, i64::MIN), None, "{}", nl.net_name(o));
+        }
         assert_eq!(an.output_arrivals(), truth);
         // Figure 5: c_out settles by 8 (topologically 11), and its
         // injected bound 8 lies below the topological arrival, so the
         // backend itself rejected it.
         let c_out = nl.find_net("c_out").unwrap();
         assert_eq!(an.output_arrival(c_out), t(8));
-        assert_eq!(an.hint_counts.confirmed, 0);
-        assert_eq!(an.hint_counts.rejected, 4);
 
         let mut an = DelayAnalyzer::new_sat(&nl, &arrivals).unwrap();
         an.hints = Some(hints());
         assert_eq!(an.circuit_delay(), delay);
-        assert_eq!(an.hint_counts.confirmed, 0);
-        assert!(an.hint_counts.rejected > 0);
     }
 
     /// The simulated hints are confirmed on a circuit with false paths,
@@ -672,9 +677,17 @@ mod tests {
             let (i, s) = (isolated.stats(), shared.stats());
             assert_eq!(i.queries, s.queries, "{}", nl.name());
             assert_eq!(i.sat_queries, s.sat_queries, "{}", nl.name());
-            assert_eq!(isolated.hint_counts, shared.hint_counts);
-            assert!(isolated.hint_counts.confirmed > 0, "{}", nl.name());
-            assert_eq!(isolated.hint_counts.rejected, 0, "{}", nl.name());
+            // Every output with a finite simulated bound has it
+            // confirmed, identically by both backends.
+            let mut confirmed = 0;
+            for &o in nl.outputs() {
+                let hint = isolated.confirmed_hint(o, i64::MIN);
+                assert_eq!(hint, shared.confirmed_hint(o, i64::MIN));
+                let simulated = isolated.hints.as_ref().unwrap().latest[o.index()].0;
+                assert_eq!(hint.is_some(), simulated.is_finite(), "{}", nl.name());
+                confirmed += usize::from(hint.is_some());
+            }
+            assert!(confirmed > 0, "{}", nl.name());
         }
     }
 

@@ -309,6 +309,62 @@ pub fn floating_settle_times(
     Ok(settle)
 }
 
+/// Per-net floating-mode settle times sampled over a set of input
+/// vectors; see [`sampled_floating_settle`].
+#[derive(Clone, Debug)]
+pub struct SampledSettle {
+    /// The simulated input vectors, each in input order.
+    pub vectors: Vec<Vec<bool>>,
+    /// Per net: the latest settle time over `vectors` and the index of
+    /// the first vector reaching it. Each is a lower bound on the
+    /// net's exact XBD0 delay.
+    pub latest: Vec<(Time, usize)>,
+}
+
+/// Runs [`floating_settle_times`] on `samples` random input vectors —
+/// the bits of a [`SplitMix64`](hfta_testkit::SplitMix64) stream seeded
+/// with `seed`, so the same arguments give the same vectors — and keeps
+/// each net's latest settle time.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+///
+/// # Panics
+///
+/// Panics if `arrivals` has the wrong length.
+pub fn sampled_floating_settle(
+    netlist: &Netlist,
+    arrivals: &[Time],
+    samples: usize,
+    seed: u64,
+) -> Result<SampledSettle, NetlistError> {
+    let mut rng = hfta_testkit::SplitMix64::new(seed);
+    let vectors: Vec<Vec<bool>> = (0..samples)
+        .map(|_| {
+            let mut word = 0;
+            (0..netlist.inputs().len())
+                .map(|i| {
+                    if i % 64 == 0 {
+                        word = rng.next_u64();
+                    }
+                    (word >> (i % 64)) & 1 == 1
+                })
+                .collect()
+        })
+        .collect();
+    let mut latest = vec![(Time::NEG_INF, 0); netlist.net_count()];
+    for (k, vector) in vectors.iter().enumerate() {
+        let settle = floating_settle_times(netlist, arrivals, vector)?;
+        for (best, &t) in latest.iter_mut().zip(&settle) {
+            if t > best.0 {
+                *best = (t, k);
+            }
+        }
+    }
+    Ok(SampledSettle { vectors, latest })
+}
+
 /// Exhaustively checks that two netlists with identically ordered ports
 /// compute the same Boolean functions (inputs ≤ `max_inputs`).
 ///

@@ -34,6 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hfta_core::{HierAnalysis, IncrementalAnalyzer, WarmSnapshot};
+use hfta_fta::delay::{first_events, start_search, Floor, SearchStart};
 use hfta_fta::sta::TopoSta;
 use hfta_fta::{AnalysisConfig, SatAlg, SolveBudget, StabilityOracle};
 use hfta_netlist::{bench_format, Design, NetId, Netlist, NetlistError, Time};
@@ -97,8 +98,9 @@ impl ModuleOracle {
     /// that survives across queries. Returns `(arrival, degraded)`;
     /// a degraded answer is the (sound) topological arrival.
     ///
-    /// This is a plain binary search from the earliest finite event,
-    /// unlike `DelayAnalyzer::output_arrival`, which starts from a
+    /// It starts like `DelayAnalyzer::output_arrival` (both call
+    /// [`start_search`]), then bisects from the earliest finite event,
+    /// unlike the analyzer, which starts from a
     /// solver-confirmed bound found by simulating random vectors. On
     /// the small leaves a daemon serves that guidance does not pay: on
     /// the 60-gate leaves of a 20k-gate modular design it made each
@@ -113,29 +115,18 @@ impl ModuleOracle {
     ) -> (Time, bool) {
         let sta = TopoSta::new(&self.netlist).expect("oracle construction validated acyclicity");
         let topo = sta.arrival_times(arrivals)[net.index()];
-        let first = first_event(&self.netlist, arrivals, net);
+        let first = first_events(&self.netlist, arrivals)
+            .expect("oracle construction validated acyclicity");
         self.oracle.set_budget(budget);
         self.oracle.set_arrivals(arrivals);
-        if first == Time::POS_INF {
-            // No finite events reach the net: stability is the same at
-            // every finite time, so one probe decides −∞ against +∞
-            // (a late input can still be masked).
-            if topo == Time::NEG_INF {
-                return (topo, false);
-            }
-            return match self.oracle.try_is_stable_at(net, Time::ZERO) {
-                Some(true) => (Time::NEG_INF, false),
-                Some(false) => (Time::POS_INF, false),
-                None => (topo, true),
-            };
-        }
-        let lo = first.finite().expect("checked finite");
-        match self.oracle.try_is_stable_at(net, Time::new(lo - 1)) {
-            Some(true) => return (Time::NEG_INF, false),
-            Some(false) => {}
-            None => return (topo, true),
-        }
-        let hi = match topo.finite() {
+        let oracle = &mut self.oracle;
+        let decide = |floor| Floor::probed(floor, oracle.try_is_stable_at(net, Time::new(floor)));
+        let mut lo = match start_search(topo, first[net.index()], decide) {
+            SearchStart::Arrival(t) => return (t, false),
+            SearchStart::Above(lo) => lo,
+            SearchStart::Degraded => return (topo, true),
+        };
+        let mut hi = match topo.finite() {
             Some(h) => h,
             None => {
                 // Some arrivals are +∞: probe the latest finite event.
@@ -147,7 +138,6 @@ impl ModuleOracle {
                 }
             }
         };
-        let (mut lo, mut hi) = (lo - 1, hi);
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
             match self.oracle.try_is_stable_at(net, Time::new(mid)) {
@@ -158,29 +148,6 @@ impl ModuleOracle {
         }
         (Time::new(hi), false)
     }
-}
-
-/// Earliest finite event at `net`: min-propagation of finite arrivals
-/// only (mirrors `DelayAnalyzer`'s lower search bound).
-fn first_event(nl: &Netlist, arrivals: &[Time], net: NetId) -> Time {
-    let mut first = vec![Time::POS_INF; nl.net_count()];
-    for (k, &pi) in nl.inputs().iter().enumerate() {
-        if arrivals[k].is_finite() {
-            first[pi.index()] = arrivals[k];
-        }
-    }
-    for &g in &nl.topo_gates().expect("validated acyclic") {
-        let gate = nl.gate(g);
-        let best = gate
-            .inputs
-            .iter()
-            .map(|n| first[n.index()])
-            .fold(Time::POS_INF, Time::min);
-        if best != Time::POS_INF {
-            first[gate.output.index()] = best + Time::from(gate.delay);
-        }
-    }
-    first[net.index()]
 }
 
 /// Latest finite event reaching any net: max over finite-arrival inputs

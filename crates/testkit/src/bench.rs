@@ -20,10 +20,11 @@
 //! * `HFTA_GIT_REV` — overrides the `git_rev` stamped into each record
 //!   (otherwise `git rev-parse --short HEAD`, or `unknown` outside a
 //!   checkout).
-//! * `HFTA_MACHINE` — overrides the `machine` stamped into each record
-//!   (otherwise the CPU model name from `/proc/cpuinfo`, or `unknown`,
-//!   followed by `x<N>` for the available parallelism), so records
-//!   from different hosts are never compared by accident.
+//!
+//! Each record also carries a `machine` tag — the CPU model name from
+//! `/proc/cpuinfo` (or `unknown`) followed by `x<N>` for the available
+//! parallelism — so records from different hosts are never compared by
+//! accident.
 
 use std::hint::black_box;
 use std::io::Write as _;
@@ -52,8 +53,7 @@ pub struct Record {
     /// outside a checkout; override with `HFTA_GIT_REV`).
     pub git_rev: String,
     /// The host that measured it: CPU model and available parallelism,
-    /// e.g. `Intel(R) Xeon(R) Processor x2` (override with
-    /// `HFTA_MACHINE`).
+    /// e.g. `Intel(R) Xeon(R) Processor x2`.
     pub machine: String,
 }
 
@@ -104,15 +104,9 @@ fn resolve_git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The host tag to stamp into records: `HFTA_MACHINE` if set, else
-/// `<CPU model> x<available parallelism>`.
+/// The host tag to stamp into records: `<CPU model> x<available
+/// parallelism>`.
 fn resolve_machine() -> String {
-    if let Ok(machine) = std::env::var("HFTA_MACHINE") {
-        let machine = machine.trim().to_string();
-        if !machine.is_empty() {
-            return machine;
-        }
-    }
     let model = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|info| {
